@@ -23,15 +23,14 @@ from .hamio import (read_csv, read_hamiltonian, write_csv, write_hamiltonian,
                     write_summary)
 from .holonomy import (CorrectedHolonomy, HolonomyPath, corrected_holonomy,
                        transport_all, wz_transport)
-from .linalg import (is_anti_hermitian, is_hermitian, is_unitary,
-                     unitary_deviation, unitary_expm)
+from .linalg import unitary_deviation, unitary_expm
 from .models import (GAMMA, PAULI_X, PAULI_Y, PAULI_Z, PI, GammaModel,
                      SpinHalfModel)
 from .pipeline import (PowerLawFit, SweepResult, SweepRow, Workspace,
                        fit_power_law, sweep)
 from .propagate import PropagationResult, propagate, residual
-from .spectral import (SpectralFrame, SpectralPath, hamiltonian_samples,
-                       smooth_gauge, snapshot_eigensystem)
+from .spectral import (SpectralPath, hamiltonian_samples, smooth_gauge,
+                       snapshot_eigensystem)
 
 __version__ = "0.1.0"
 
@@ -43,16 +42,15 @@ __all__ = [
     "InsufficientSweep", "NonHermitianInput", "NonUnitaryInitial",
     "NotAntiHermitian", "NotGroundStart", "PAULI_X", "PAULI_Y", "PAULI_Z",
     "PI", "PowerLawFit", "PropagationResult", "RankDeficientOverlap",
-    "SpectralFrame", "SpectralPath", "SpinHalfModel", "StateFamily",
-    "StepTooLarge", "SweepResult", "SweepRow", "ValidityReport", "Workspace",
-    "advance_order", "assemble_state", "central_derivative",
-    "check_amplitudes", "corrected_holonomy", "couplings_from_path",
+    "SpectralPath", "SpinHalfModel", "StateFamily", "StepTooLarge",
+    "SweepResult", "SweepRow", "ValidityReport", "Workspace", "advance_order",
+    "assemble_state", "central_derivative", "check_amplitudes",
+    "corrected_holonomy", "couplings_from_path",
     "couplings_via_frame_derivatives", "cumulative_quadrature", "daa_state",
     "first_order_state", "fit_power_law", "ground_amplitudes",
-    "hamiltonian_samples", "is_anti_hermitian", "is_hermitian", "is_unitary",
-    "j_integral", "propagate", "read_csv", "read_hamiltonian", "residual",
-    "series_state", "smooth_gauge", "snapshot_eigensystem", "sweep",
-    "transport_all", "unitary_deviation", "unitary_expm",
-    "validity_margins", "write_csv", "write_hamiltonian", "write_summary",
-    "wz_transport", "zero_order_blocks",
+    "hamiltonian_samples", "j_integral", "propagate", "read_csv",
+    "read_hamiltonian", "residual", "series_state", "smooth_gauge",
+    "snapshot_eigensystem", "sweep", "transport_all", "unitary_deviation",
+    "unitary_expm", "validity_margins", "write_csv", "write_hamiltonian",
+    "write_summary", "wz_transport", "zero_order_blocks",
 ]

@@ -5,8 +5,9 @@ may come from a JSON config file (--config); explicit flags win over the
 file, which wins over built-in defaults. Every run writes a CSV data file
 plus a JSON summary echoing the effective configuration.
 
-Exit codes: 0 success, 2 bad configuration, 3 spectral-gap collapse,
-4 degeneracy structure change, 5 I/O failure, 1 any other library error.
+Exit codes: 0 success, 2 bad configuration or non-Hermitian input,
+3 spectral-gap collapse, 4 degeneracy structure change, 5 I/O failure,
+1 any other library error.
 """
 import argparse
 import json
@@ -17,11 +18,13 @@ import numpy as np
 
 from . import __version__
 from .engine import series_state
-from .errors import ConfigError, DaptError, DegeneracyChanged, GapCollapse
+from .errors import (ConfigError, DaptError, DegeneracyChanged, GapCollapse,
+                     NonHermitianInput)
 from .grid import Grid
 from .hamio import read_csv, read_hamiltonian, write_csv, write_summary
 from .models import GammaModel, SpinHalfModel
 from .pipeline import Workspace, fit_power_law, sweep
+from .spectral import level_slices
 
 DEFAULTS = {
     "model": "gamma",
@@ -178,7 +181,7 @@ def cmd_dapt(cfg: dict) -> int:
         cols += [(f"order{p}_{j}", fam.coefficients[:, 0, j])
                  for j in range(ws.path.dim)]
     fam = ws.series(v)
-    sl = ws.path.level_slices()[0]
+    sl = level_slices(ws.path.dims)[0]
     ground = np.linalg.norm(fam.coefficients[:, 0, sl], axis=1) ** 2
     total = np.linalg.norm(fam.coefficients[:, 0, :], axis=1) ** 2
     cols.append(("ground_population", ground / total))
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
     try:
         cfg = _validate(_merge_config(args))
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, NonHermitianInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GapCollapse as exc:

@@ -7,9 +7,10 @@ velocity enters only through the dynamical phase factors at assembly time.
 
 Block layout: B^(p)[(m, n)] has shape (n_nodes, labels, d_n). The column
 axis is ragged (level n's degeneracy); the row axis is the tracked
-initial-condition label, padded to a common label count (default: the
-largest degeneracy) because the s = 0 matching condition sums blocks of
-different source levels row-wise.
+initial-condition label, padded to a common label count (the largest
+degeneracy among the initially populated levels, see label_count) because
+the s = 0 matching condition sums blocks of different source levels
+row-wise.
 """
 from dataclasses import dataclass
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import BadInitialCondition, DimensionMismatch
 from .grid import Grid, central_derivative, cumulative_quadrature
-from .linalg import unitary_expm
-from .spectral import SpectralPath
+from .linalg import ordered_product, unitary_expm
+from .spectral import SpectralPath, level_slices
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,6 @@ class StateFamily:
     @property
     def labels(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def level_slices(self) -> list:
-        out, start = [], 0
-        for d in self.dims:
-            out.append(slice(start, start + d))
-            start += d
-        return out
 
     def vectors(self, path: SpectralPath) -> np.ndarray:
         """Computational-basis states, shape (n_nodes, labels, dim)."""
@@ -102,6 +95,12 @@ def ground_amplitudes(n_levels: int) -> np.ndarray:
     return b0
 
 
+def label_count(dims: tuple, b0: np.ndarray) -> int:
+    """Rows of every block: the largest degeneracy among levels with a
+    non-zero initial amplitude (only those levels' labels are tracked)."""
+    return max(d for d, b in zip(dims, b0) if b != 0.0)
+
+
 def _embed_rows(mat: np.ndarray, labels: int) -> np.ndarray:
     """Zero-pad the row axis of (n, d_m, d_n) stacks up to the label count."""
     n, rows, cols = mat.shape
@@ -112,17 +111,16 @@ def _embed_rows(mat: np.ndarray, labels: int) -> np.ndarray:
     return out
 
 
-def zero_order_blocks(cs, holonomies, b0, labels: int = None) -> CorrectionBlocks:
-    """Order-0 blocks: B_{nn} = b_n(0) U^n(s), off-diagonal blocks zero."""
+def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
+    """Order-0 blocks: B_{nn} = b_n(0) U^n(s), every other block zero."""
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     b0 = check_amplitudes(b0, cs.n_levels)
-    if labels is None:
-        labels = max(dims)
+    labels = label_count(dims, b0)
     n_nodes = cs.grid.n
     blocks = {}
     for m in range(cs.n_levels):
         for n in range(cs.n_levels):
-            if m == n:
+            if m == n and b0[n] != 0.0:
                 blocks[(m, n)] = _embed_rows(b0[n] * holonomies[n].u, labels)
             else:
                 blocks[(m, n)] = np.zeros((n_nodes, labels, dims[n]), dtype=complex)
@@ -156,21 +154,13 @@ def advance_order(blocks: CorrectionBlocks, cs) -> CorrectionBlocks:
 
     h = cs.grid.h
     for n in levels:
-        g = None
-        for k in levels:
-            if k == n:
-                continue
-            term = new[(n, k)] @ cs.recursion(k, n)
-            g = term if g is None else g + term
+        g = sum(new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n)
         mids = 0.5 * (cs.a(n, n)[:-1] + cs.a(n, n)[1:])
         full = unitary_expm(mids, h)
         half = unitary_expm(mids, h / 2.0)
         g_mid = 0.5 * (g[:-1] + g[1:])
-        bnn = np.empty_like(blocks.block(n, n))
-        bnn[0] = -sum(new[(m, n)][0] for m in levels if m != n)
-        for k in range(cs.grid.n - 1):
-            bnn[k + 1] = bnn[k] @ full[k] - h * g_mid[k] @ half[k]
-        new[(n, n)] = bnn
+        start = -sum(new[(m, n)][0] for m in levels if m != n)
+        new[(n, n)] = ordered_product(full, start, -h * g_mid @ half)
     return CorrectionBlocks(order=blocks.order + 1, grid=blocks.grid,
                             dims=blocks.dims, labels=blocks.labels, blocks=new)
 
@@ -181,13 +171,10 @@ def assemble_state(blocks: CorrectionBlocks, phases: DynamicalPhase,
     n_nodes = blocks.grid.n
     dim = sum(blocks.dims)
     coeff = np.zeros((n_nodes, blocks.labels, dim), dtype=complex)
-    start = 0
-    for n in range(len(blocks.dims)):
-        sl = slice(start, start + blocks.dims[n])
+    for n, sl in enumerate(level_slices(blocks.dims)):
         for m in range(len(blocks.dims)):
             coeff[:, :, sl] += (phases.factor(m, velocity)[:, None, None]
                                 * blocks.block(m, n))
-        start += blocks.dims[n]
     return StateFamily(order=blocks.order, grid=blocks.grid, dims=blocks.dims,
                        coefficients=coeff)
 
@@ -206,10 +193,10 @@ def series_state(block_list, phases: DynamicalPhase, velocity: float,
                        dims=block_list[0].dims, coefficients=total)
 
 
-def daa_state(cs, holonomies, phases: DynamicalPhase, b0, velocity: float,
-              labels: int = None) -> StateFamily:
+def daa_state(cs, holonomies, phases: DynamicalPhase, b0,
+              velocity: float) -> StateFamily:
     """Degenerate adiabatic approximation (order 0) for given amplitudes."""
-    blocks = zero_order_blocks(cs, holonomies, b0, labels=labels)
+    blocks = zero_order_blocks(cs, holonomies, b0)
     return assemble_state(blocks, phases, velocity)
 
 
@@ -227,7 +214,7 @@ def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
 
 
 def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
-                      velocity: float, labels: int = None) -> StateFamily:
+                      velocity: float) -> StateFamily:
     """Closed-form first-order family psi^(1) (independent of advance_order).
 
     Built from the three first-order contributions: the secular J-integral
@@ -237,16 +224,11 @@ def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     levels = range(cs.n_levels)
     b0 = check_amplitudes(b0, cs.n_levels)
-    if labels is None:
-        labels = max(dims)
+    labels = label_count(dims, b0)
     n_nodes = cs.grid.n
     dim = sum(dims)
     coeff = np.zeros((n_nodes, labels, dim), dtype=complex)
-    slices = []
-    start = 0
-    for d in dims:
-        slices.append(slice(start, start + d))
-        start += d
+    slices = level_slices(dims)
 
     for n in levels:
         u_n = holonomies[n].u

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NonHermitianInput
 from .grid import Grid
+from .linalg import hermitian_part
 
 FLOAT_FMT = "%.17g"
 
@@ -42,11 +43,12 @@ def write_hamiltonian(path, samples: np.ndarray, grid: Grid,
             fh.write(f"{_fmt(grid.s[k])} {pairs}\n")
 
 
-def read_hamiltonian(path, hermiticity_tol: float = 1e-10):
+def read_hamiltonian(path):
     """Parse a sampled-Hamiltonian file into (grid, samples).
 
-    Raises OSError for unreadable paths, ConfigError for malformed content,
-    NonHermitianInput when any node fails the Hermiticity check.
+    Returns the Hermitian part of the samples. Raises OSError for
+    unreadable paths, ConfigError for malformed content, NonHermitianInput
+    when any node fails the Hermiticity check of linalg.hermitian_part.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -79,10 +81,10 @@ def read_hamiltonian(path, hermiticity_tol: float = 1e-10):
         grid = Grid(s=s)
     except Exception as exc:
         raise ConfigError(f"{path}: bad grid: {exc}") from None
-    dev = np.abs(samples - np.swapaxes(samples, 1, 2).conj()).max()
-    if dev > hermiticity_tol:
-        raise NonHermitianInput(f"{path}: max |H - H^dag| = {dev:.3e}")
-    return grid, samples
+    try:
+        return grid, hermitian_part(samples)
+    except NonHermitianInput as exc:
+        raise NonHermitianInput(f"{path}: {exc}") from None
 
 
 def write_csv(path, columns) -> None:

@@ -5,7 +5,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryInitial, NotGroundStart
 from .grid import Grid
-from .linalg import unitary_deviation, unitary_expm
+from .linalg import ordered_product, unitary_deviation, unitary_expm
+from .spectral import level_slices
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,7 @@ def wz_transport(a_nn: np.ndarray, grid: Grid, u0: np.ndarray = None,
                 f"initial transport matrix deviates from unitary by "
                 f"{unitary_deviation(u0):.3e}")
     mids = 0.5 * (a_nn[:-1] + a_nn[1:])
-    steps = unitary_expm(mids, grid.h, atol=atol)
-    u = np.empty_like(a_nn)
-    u[0] = u0
-    for k in range(steps.shape[0]):
-        u[k + 1] = u[k] @ steps[k]
-    return u
+    return ordered_product(unitary_expm(mids, grid.h, atol=atol), u0)
 
 
 def transport_all(cs, u0s=None) -> list:
@@ -114,8 +110,7 @@ class CorrectedHolonomy:
 
 
 def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
-                       velocity: float, level: int = 0,
-                       start_tol: float = 1e-10) -> CorrectedHolonomy:
+                       velocity: float, level: int = 0) -> CorrectedHolonomy:
     """Combine zeroth- and first-order families into a corrected holonomy.
 
     The families must hold snapshot-basis coefficients (see StateFamily);
@@ -125,16 +120,17 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
     renormalization is applied, so the unitarity defect of the result is a
     genuine O(v^2) diagnostic.
 
-    Raises NotGroundStart if the zeroth order has weight outside ``level``
-    at s = 0.
+    Raises NotGroundStart if the zeroth order has weight above 1e-10
+    outside ``level`` at s = 0.
     """
-    sl = psi0_family.level_slices[level]
+    slices = level_slices(psi0_family.dims)
+    sl = slices[level]
     c0 = psi0_family.coefficients
     c1 = psi1_family.coefficients
     if c0.shape != c1.shape:
         raise DimensionMismatch("family shapes differ")
     outside = np.linalg.norm(np.delete(c0[0], np.r_[sl], axis=1), axis=1)
-    if outside.max() > start_tol:
+    if outside.max() > 1e-10:
         raise NotGroundStart(
             f"zeroth order has weight {outside.max():.3e} outside level {level} at s=0")
 
@@ -151,7 +147,7 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
     correction = (overlap - 1.0) / velocity
 
     excited = {}
-    for n, other in enumerate(psi0_family.level_slices):
+    for n, other in enumerate(slices):
         if n == level:
             continue
         back_n = np.exp(1j * phases.omega[:, n] / velocity)

@@ -1,23 +1,26 @@
 """Small dense linear-algebra helpers for unitary transport."""
 import numpy as np
 
-from .errors import NotAntiHermitian
+from .errors import NonHermitianInput, NotAntiHermitian
 
 
-def is_hermitian(a: np.ndarray, atol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    return bool(np.all(np.abs(a - np.swapaxes(a, -1, -2).conj()) <= atol))
+def hermitian_part(samples: np.ndarray) -> np.ndarray:
+    """Check that matrices (batched on leading axes) are Hermitian and
+    return their Hermitian part (H + H^dagger) / 2.
 
-
-def is_anti_hermitian(a: np.ndarray, atol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    return bool(np.all(np.abs(a + np.swapaxes(a, -1, -2).conj()) <= atol))
-
-
-def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
-    u = np.asarray(u)
-    eye = np.eye(u.shape[-1])
-    return bool(np.all(np.abs(np.swapaxes(u, -1, -2).conj() @ u - eye) <= atol))
+    Raises NonHermitianInput when max|H - H^dagger| exceeds
+    1e-10 * max(1, max|H|). Exactly Hermitian input comes back with equal
+    values, so accepted samples are symmetrised exactly once however many
+    checks they pass through.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    adjoint = np.swapaxes(samples, -1, -2).conj()
+    dev = np.abs(samples - adjoint).max()
+    tol = 1e-10 * max(1.0, float(np.abs(samples).max()))
+    if dev > tol:
+        raise NonHermitianInput(
+            f"max |H - H^dag| = {dev:.3e} exceeds {tol:.3e}")
+    return 0.5 * (samples + adjoint)
 
 
 def unitary_deviation(u: np.ndarray) -> float:
@@ -25,6 +28,24 @@ def unitary_deviation(u: np.ndarray) -> float:
     u = np.asarray(u)
     eye = np.eye(u.shape[-1])
     return float(np.abs(np.swapaxes(u, -1, -2).conj() @ u - eye).max())
+
+
+def ordered_product(factors: np.ndarray, start: np.ndarray,
+                    shifts: np.ndarray = None) -> np.ndarray:
+    """Ordered product along the grid, later factors on the right.
+
+    Returns x with x[0] = start and x[k+1] = x[k] @ factors[k], plus
+    shifts[k] when shifts are given (an affine recurrence). ``factors``
+    has shape (n - 1, d, d), ``start`` (r, d) and ``shifts`` (n - 1, r, d);
+    the result has shape (n, r, d). Every node-to-node recurrence of the
+    package goes through this one loop.
+    """
+    x = np.empty((factors.shape[0] + 1,) + start.shape,
+                 dtype=np.result_type(factors, start))
+    x[0] = start
+    for k, f in enumerate(factors):
+        x[k + 1] = x[k] @ f if shifts is None else x[k] @ f + shifts[k]
+    return x
 
 
 def unitary_expm(a: np.ndarray, dt: float = 1.0, atol: float = 1e-3) -> np.ndarray:

@@ -102,8 +102,7 @@ class Workspace:
         """Ground-frame column ``label`` at s = 0."""
         return self.path.blocks[0][0][:, label].copy()
 
-    def exact(self, velocity: float, label: int = 0, substeps: int = None,
-              max_phase: float = 0.005, max_steps: int = 2_000_000):
+    def exact(self, velocity: float, label: int = 0, substeps: int = None):
         """Reference evolution of the label-``label`` ground start.
 
         Uses the model's closed form when one exists, otherwise the RK4
@@ -116,8 +115,7 @@ class Workspace:
             return self.model.exact_state(self.grid.s, velocity), 0.0
         h = self.model.hamiltonian if self.model is not None else self.samples
         res = propagate(h, self.grid, self.start_vector(label), velocity,
-                        substeps=substeps, max_phase=max_phase,
-                        max_steps=max_steps)
+                        substeps=substeps, max_phase=0.005)
         return res.psi, res.norm_drift
 
     def series_residuals(self, velocity: float, label: int = 0,
@@ -203,8 +201,7 @@ def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
                     holonomy_defect=defect)
 
 
-def sweep(ws: Workspace, velocities, threshold: float = 0.1,
-          max_workers: int = None) -> SweepResult:
+def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
     """Evaluate every sweep velocity in a worker pool and fit the slopes."""
     vs = [float(v) for v in velocities]
     if len(vs) < 4:
@@ -216,9 +213,7 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1,
     if max(vs) / min(vs) < 10.0:
         raise InsufficientSweep("sweep must span at least one decade")
     vs = sorted(vs)
-    if max_workers is None:
-        max_workers = min(8, len(vs))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, len(vs))) as pool:
         rows = list(pool.map(lambda v: _sweep_point(ws, v, threshold), vs))
     fits = []
     v_arr = np.array(vs)

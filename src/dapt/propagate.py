@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianInput, StepTooLarge
+from .errors import StepTooLarge
 from .grid import Grid
 from .spectral import SpectralPath, hamiltonian_samples
 
@@ -40,8 +40,8 @@ def _ladder(h, samples: np.ndarray, grid: Grid, k: int, m: int) -> np.ndarray:
 
 
 def propagate(h, grid: Grid, psi0, velocity: float, max_phase: float = 0.1,
-              substeps: int = None, max_steps: int = 2_000_000,
-              hermiticity_tol: float = 1e-10) -> PropagationResult:
+              substeps: int = None,
+              max_steps: int = 2_000_000) -> PropagationResult:
     """Integrate the exact dynamics for one or more initial states.
 
     ``psi0`` may be a single vector (dim,) or a batch (labels, dim); the
@@ -51,9 +51,6 @@ def propagate(h, grid: Grid, psi0, velocity: float, max_phase: float = 0.1,
     if velocity <= 0.0:
         raise ValueError("velocity must be positive")
     samples = hamiltonian_samples(h, grid)
-    dev = np.abs(samples - np.swapaxes(samples, 1, 2).conj()).max()
-    if dev > hermiticity_tol:
-        raise NonHermitianInput(f"max |H - H^dag| = {dev:.3e}")
 
     psi0 = np.asarray(psi0, dtype=complex)
     single = psi0.ndim == 1

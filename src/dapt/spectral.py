@@ -10,22 +10,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DegeneracyChanged, DimensionMismatch, NonHermitianInput,
-                     RankDeficientOverlap)
+from .errors import DegeneracyChanged, DimensionMismatch, RankDeficientOverlap
 from .grid import Grid
+from .linalg import hermitian_part, ordered_product
 
 
-@dataclass(frozen=True)
-class SpectralFrame:
-    """Eigensystem at a single node: level energies and frame blocks."""
-
-    s: float
-    energies: np.ndarray               # (n_levels,)
-    blocks: tuple                      # per level: (dim, d_n)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(b.shape[1] for b in self.blocks)
+def level_slices(dims) -> list:
+    """Slices of each level inside the flattened snapshot index."""
+    out, start = [], 0
+    for d in dims:
+        out.append(slice(start, start + d))
+        start += d
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,6 @@ class SpectralPath:
     def dim(self) -> int:
         return sum(self.dims)
 
-    def level_slices(self) -> list:
-        """Slices of each level inside the flattened snapshot index."""
-        out, start = [], 0
-        for d in self.dims:
-            out.append(slice(start, start + d))
-            start += d
-        return out
-
-    def frame(self, k: int) -> SpectralFrame:
-        return SpectralFrame(s=float(self.grid.s[k]),
-                             energies=self.energies[k],
-                             blocks=tuple(b[k] for b in self.blocks))
-
     def basis(self) -> np.ndarray:
         """Full snapshot basis, shape (n, dim, dim): blocks side by side."""
         return np.concatenate(self.blocks, axis=2)
@@ -95,7 +78,11 @@ class SpectralPath:
 
 
 def hamiltonian_samples(h, grid: Grid) -> np.ndarray:
-    """Stack H(s_k) for a callable, or validate precomputed samples."""
+    """Stack H(s_k) for a callable, or validate precomputed samples.
+
+    Returns the Hermitian part of the samples; raises NonHermitianInput
+    when they are not Hermitian to tolerance (see linalg.hermitian_part).
+    """
     if callable(h):
         samples = np.stack([np.asarray(h(s), dtype=complex) for s in grid.s])
     else:
@@ -103,7 +90,7 @@ def hamiltonian_samples(h, grid: Grid) -> np.ndarray:
     if samples.ndim != 3 or samples.shape[0] != grid.n \
             or samples.shape[1] != samples.shape[2]:
         raise DimensionMismatch("expected samples of shape (n, dim, dim)")
-    return samples
+    return hermitian_part(samples)
 
 
 def _cluster_mask(energies: np.ndarray, tol: float) -> np.ndarray:
@@ -112,8 +99,8 @@ def _cluster_mask(energies: np.ndarray, tol: float) -> np.ndarray:
     return np.diff(energies, axis=1) > tol * scale
 
 
-def snapshot_eigensystem(h, grid: Grid, degeneracy_tol: float = 1e-8,
-                         hermiticity_tol: float = 1e-12) -> SpectralPath:
+def snapshot_eigensystem(h, grid: Grid,
+                         degeneracy_tol: float = 1e-8) -> SpectralPath:
     """Diagonalize H(s) on the grid and group eigenvalues into levels.
 
     Parameters
@@ -123,8 +110,6 @@ def snapshot_eigensystem(h, grid: Grid, degeneracy_tol: float = 1e-8,
     grid : Grid
     degeneracy_tol : float
         Eigenvalues closer than tol * max(1, |E|_max) are one level.
-    hermiticity_tol : float
-        Max-entry bound on ||H - H^dagger||.
 
     Returns
     -------
@@ -135,15 +120,12 @@ def snapshot_eigensystem(h, grid: Grid, degeneracy_tol: float = 1e-8,
     Raises
     ------
     NonHermitianInput
-        If any sample violates the hermiticity tolerance.
+        If any sample fails the Hermiticity check of hamiltonian_samples.
     DegeneracyChanged
         If the cluster structure differs between nodes (level crossing or
         a tolerance straddling a gap).
     """
     samples = hamiltonian_samples(h, grid)
-    dev = np.abs(samples - np.swapaxes(samples, 1, 2).conj()).max()
-    if dev > hermiticity_tol:
-        raise NonHermitianInput(f"Hamiltonian deviates from Hermitian by {dev:.3e}")
     evals, evecs = np.linalg.eigh(samples)
 
     mask = _cluster_mask(evals, degeneracy_tol)
@@ -168,6 +150,12 @@ def smooth_gauge(path: SpectralPath, min_singular: float = 1e-6) -> SpectralPath
     node k. The first frame is left untouched, and level projectors are
     unchanged (gauge moves within each eigenspace only).
 
+    All overlaps are taken between the raw frames, O_k = B_k^dagger B_{k+1},
+    in one batched SVD O_k = W_k S_k Vh_k. The aligned frames are
+    B_k H_k^dagger with H the ordered product of the polar factors
+    W_k Vh_k; this is the node-by-node Procrustes above, because the polar
+    factor of G^dagger O is G^dagger times that of O for unitary G.
+
     Raises
     ------
     RankDeficientOverlap
@@ -176,15 +164,15 @@ def smooth_gauge(path: SpectralPath, min_singular: float = 1e-6) -> SpectralPath
     """
     new_blocks = []
     for level, b in enumerate(path.blocks):
-        out = b.copy()
-        for k in range(b.shape[0] - 1):
-            overlap = out[k].conj().T @ out[k + 1]
-            w, sig, vh = np.linalg.svd(overlap)
-            if sig.min() < min_singular:
-                raise RankDeficientOverlap(
-                    f"level {level}: overlap singular value {sig.min():.3e} "
-                    f"below {min_singular:.3e} between nodes {k} and {k + 1}")
-            out[k + 1] = out[k + 1] @ (vh.conj().T @ w.conj().T)
-        new_blocks.append(out)
+        w, sig, vh = np.linalg.svd(np.swapaxes(b[:-1], 1, 2).conj() @ b[1:])
+        low = sig.min(axis=1)
+        bad = np.flatnonzero(low < min_singular)
+        if bad.size:
+            k = int(bad[0])
+            raise RankDeficientOverlap(
+                f"level {level}: overlap singular value {low[k]:.3e} "
+                f"below {min_singular:.3e} between nodes {k} and {k + 1}")
+        h = ordered_product(w @ vh, np.eye(b.shape[2]))
+        new_blocks.append(b @ np.swapaxes(h, 1, 2).conj())
     return SpectralPath(grid=path.grid, energies=path.energies,
                         blocks=tuple(new_blocks))

@@ -24,3 +24,20 @@ def ws_gamma(gamma, grid801):
     """Shared numeric-transport workspace; treat as read-only."""
     return Workspace.build(model=gamma, grid=grid801, order=2,
                            model_holonomy=False)
+
+
+@pytest.fixture(scope="session")
+def ragged():
+    """Sampler of H(s) = W(s) D W(s)^dagger, W(s) = exp(sK) for a fixed
+    anti-Hermitian K, with levels of degeneracy (2, 3, 1): the ground
+    level is smaller than the next one."""
+    rng = np.random.default_rng(2010)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    lam, vec = np.linalg.eigh(0.25 * (x + x.conj().T))     # K = i lam
+    energies = np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])
+
+    def samples(grid):
+        w = (vec * np.exp(1j * np.outer(grid.s, lam))[:, None, :]) \
+            @ vec.conj().T
+        return (w * energies) @ np.swapaxes(w, 1, 2).conj()
+    return samples

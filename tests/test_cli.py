@@ -129,6 +129,29 @@ def test_error_exit_codes(argv, code):
     assert run(*argv) == code
 
 
+@pytest.mark.parametrize("asymmetry,code", [(5e-11, 0), (1e-6, 2)])
+def test_hermiticity_tolerance_exit_codes(in_tmp, gamma, asymmetry, code):
+    # below 1e-10 * max(1, max|H|) the file is symmetrised and accepted by
+    # every stage; above it the input is rejected as malformed
+    g = Grid.uniform(201)
+    samples = hamiltonian_samples(gamma.hamiltonian, g)
+    samples[50, 0, 1] += asymmetry
+    write_hamiltonian("h.txt", samples, g)
+    assert run("validate", "--hamiltonian-file", "h.txt") == code
+
+
+def test_ragged_holonomy_population_is_finite(in_tmp, ragged):
+    # the ground level (2) is smaller than the largest level (3), so label
+    # rows beyond the ground level's must not be tracked
+    g = Grid.uniform(201)
+    write_hamiltonian("r.txt", ragged(g), g)
+    assert run("holonomy", "--hamiltonian-file", "r.txt") == 0
+    doc = read_json(in_tmp / "dapt_holonomy.json")
+    assert 0.99 < doc["final_population"] <= 1.0
+    data = read_csv(in_tmp / "dapt_holonomy.csv")
+    assert "v0_11" in data and "v0_21" not in data
+
+
 def test_gap_collapse_exit_code(in_tmp):
     g = Grid.uniform(51)
     f = 0.5 * (1e-7 + g.s)

@@ -91,7 +91,7 @@ def test_series_state_is_velocity_weighted_sum(ws_gamma):
     build = sum(v ** p * ws_gamma.term(p, v).coefficients for p in range(3))
     assert np.abs(total.coefficients - build).max() < 1e-14
     assert total.labels == 2
-    assert total.level_slices == [slice(0, 2), slice(2, 4)]
+    assert total.dims == (2, 2)
 
 
 def test_series_residual_shrinks_with_order(gamma, ws_gamma):

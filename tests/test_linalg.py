@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from dapt import (NotAntiHermitian, is_anti_hermitian, is_hermitian,
-                  is_unitary, unitary_deviation, unitary_expm)
+from dapt import (NonHermitianInput, NotAntiHermitian, unitary_deviation,
+                  unitary_expm)
+from dapt.linalg import hermitian_part, ordered_product
 
 entry = st.floats(min_value=-1.0, max_value=1.0,
                   allow_nan=False, allow_infinity=False)
@@ -62,20 +63,50 @@ def test_expm_rejects_gross_hermitian_part():
         unitary_expm(np.eye(3, dtype=complex))
 
 
-def test_hermitian_predicates():
+def test_hermitian_part():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = x + x.conj().T
-    assert is_hermitian(h)
-    assert not is_hermitian(h + 1e-6 * 1j * np.eye(4))
-    assert is_anti_hermitian(1j * h)
-    assert not is_anti_hermitian(h + np.eye(4))
+    x = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    h = x + np.swapaxes(x, 1, 2).conj()
+    assert np.array_equal(hermitian_part(h), h)
+    noisy = h.copy()
+    noisy[2, 0, 1] += 5e-11
+    sym = hermitian_part(noisy)
+    assert np.array_equal(sym, np.swapaxes(sym, 1, 2).conj())
+    assert np.abs(sym - h).max() < 3e-11
+    with pytest.raises(NonHermitianInput):
+        hermitian_part(h + 1e-6 * 1j * np.eye(4))
+    # the tolerance is 1e-10 * max|H|, floored at 1e-10
+    small = 1e-3 * h
+    small[2, 0, 1] += 5e-11
+    hermitian_part(small)
+    small[2, 0, 1] += 2e-10
+    with pytest.raises(NonHermitianInput):
+        hermitian_part(small)
+    big = 1e4 * h
+    big[2, 0, 1] += 1e-7
+    hermitian_part(big)
 
 
 def test_unitary_predicates():
     q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4))
                         + 1j * np.random.default_rng(6).normal(size=(4, 4)))
-    assert is_unitary(q)
     assert unitary_deviation(q) < 1e-13
-    assert not is_unitary(1.01 * q)
     assert unitary_deviation(1.01 * q) > 1e-3
+
+
+def test_ordered_product_affine_recurrence():
+    # scalar recurrence x_{k+1} = a x_k + c has the closed form
+    # x_k = a^k x_0 + c (1 - a^k) / (1 - a)
+    a, c, x0 = np.exp(0.3j), 0.2 - 0.1j, 1.5 + 0.5j
+    k = np.arange(40)
+    x = ordered_product(np.full((39, 1, 1), a), np.array([[x0]]),
+                        np.full((39, 1, 1), c))
+    want = a ** k * x0 + c * (1 - a ** k) / (1 - a)
+    assert x.shape == (40, 1, 1)
+    assert np.abs(x[:, 0, 0] - want).max() < 1e-13
+    # without shifts, later factors multiply on the right
+    rng = np.random.default_rng(11)
+    f = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    start = rng.normal(size=(1, 2))
+    x = ordered_product(f, start)
+    assert np.abs(x[-1] - start @ f[0] @ f[1] @ f[2]).max() < 1e-13

@@ -1,11 +1,14 @@
 """Snapshot eigensystem clustering and gauge smoothing."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dapt import (DegeneracyChanged, DimensionMismatch, Grid,
                   NonHermitianInput, RankDeficientOverlap, SpectralPath,
                   hamiltonian_samples, smooth_gauge, snapshot_eigensystem)
 from dapt.models import PAULI_X, PAULI_Z
+from dapt.spectral import level_slices
 
 
 def test_clusters_gamma_model_into_two_doublets(gamma):
@@ -16,7 +19,7 @@ def test_clusters_gamma_model_into_two_doublets(gamma):
     assert path.dim == 4
     assert np.allclose(path.energies[:, 0], -0.5, atol=1e-12)
     assert np.allclose(path.energies[:, 1], 0.5, atol=1e-12)
-    assert path.level_slices() == [slice(0, 2), slice(2, 4)]
+    assert level_slices(path.dims) == [slice(0, 2), slice(2, 4)]
 
 
 def test_frames_are_eigenvectors(gamma):
@@ -35,15 +38,6 @@ def test_basis_is_orthonormal(gamma):
     b = path.basis()
     overlap = np.swapaxes(b, 1, 2).conj() @ b
     assert np.abs(overlap - np.eye(4)).max() < 1e-13
-
-
-def test_frame_accessor_matches_path(gamma):
-    g = Grid.uniform(21)
-    path = snapshot_eigensystem(gamma.hamiltonian, g)
-    fr = path.frame(7)
-    assert fr.s == g.s[7]
-    assert fr.dims == (2, 2)
-    assert np.array_equal(fr.blocks[1], path.blocks[1][7])
 
 
 def test_rejects_non_hermitian_samples():
@@ -104,7 +98,7 @@ def test_smooth_gauge_flags_rank_deficient_overlap():
     samples = np.stack([np.cos(np.pi * s) * PAULI_Z + np.sin(np.pi * s) * PAULI_X
                         for s in g.s])
     path = snapshot_eigensystem(samples, g)
-    with pytest.raises(RankDeficientOverlap):
+    with pytest.raises(RankDeficientOverlap, match="between nodes 0 and 1"):
         smooth_gauge(path, min_singular=0.9)
     smooth_gauge(path)
 
@@ -115,3 +109,51 @@ def test_callable_and_sample_routes_agree(gamma):
     a = snapshot_eigensystem(gamma.hamiltonian, g)
     b = snapshot_eigensystem(samples, g)
     assert np.array_equal(a.energies, b.energies)
+
+
+def smooth_gauge_per_node(path):
+    """Reference: node-by-node Procrustes, each overlap taken against the
+    previous node's already aligned frame."""
+    new_blocks = []
+    for b in path.blocks:
+        out = b.copy()
+        for k in range(b.shape[0] - 1):
+            w, _, vh = np.linalg.svd(out[k].conj().T @ out[k + 1])
+            out[k + 1] = out[k + 1] @ (vh.conj().T @ w.conj().T)
+        new_blocks.append(out)
+    return new_blocks
+
+
+@pytest.mark.parametrize("route", ["gamma", "ragged"])
+def test_smooth_gauge_matches_per_node_loop(gamma, ragged, route):
+    if route == "gamma":
+        g = Grid.uniform(2001)
+        raw = snapshot_eigensystem(gamma.hamiltonian, g)
+    else:
+        g = Grid.uniform(401)
+        raw = snapshot_eigensystem(ragged(g), g)
+        assert raw.dims == (2, 3, 1)
+    smooth = smooth_gauge(raw)
+    for got, want in zip(smooth.blocks, smooth_gauge_per_node(raw)):
+        assert np.abs(got - want).max() < 1e-12
+
+
+def random_unitaries(rng, n, d):
+    x = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return np.linalg.qr(x)[0]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_smooth_gauge_removes_per_node_rotations(ragged, seed):
+    # B_k R_k and B_k align to the same frames up to the first node's R_0
+    g = Grid.uniform(201)
+    raw = snapshot_eigensystem(ragged(g), g)
+    rng = np.random.default_rng(seed)
+    rots = [random_unitaries(rng, g.n, d) for d in raw.dims]
+    rotated = SpectralPath(grid=g, energies=raw.energies,
+                           blocks=tuple(b @ r for b, r in zip(raw.blocks, rots)))
+    want, got = smooth_gauge(raw), smooth_gauge(rotated)
+    for level, r in enumerate(rots):
+        assert np.abs(got.blocks[level] - want.blocks[level] @ r[0]).max() < 1e-12
+        assert np.abs(got.projectors(level) - raw.projectors(level)).max() < 1e-12
