@@ -180,7 +180,7 @@ def cmd_dapt(cfg: dict) -> int:
         fam = series_state(ws.blocks, ws.phases, v, order=p)
         cols += [(f"order{p}_{j}", fam.coefficients[:, 0, j])
                  for j in range(ws.path.dim)]
-    fam = ws.series(v)
+    # the last iteration's fam is the full series
     sl = level_slices(ws.path.dims)[0]
     ground = np.linalg.norm(fam.coefficients[:, 0, sl], axis=1) ** 2
     total = np.linalg.norm(fam.coefficients[:, 0, :], axis=1) ** 2

@@ -89,15 +89,12 @@ def _check_gaps(path: SpectralPath, gap_floor) -> float:
 
 
 def couplings_from_path(path: SpectralPath, dh=None, h=None,
-                        gap_floor: float = None,
-                        diag_connections: dict = None) -> CouplingSet:
+                        gap_floor: float = None) -> CouplingSet:
     """Standard coupling construction.
 
     Off-diagonal pairs use the gap formula with the Hamiltonian derivative
     (``dh`` callable/samples in d/ds units, or ``h`` to differentiate
-    numerically); the intra-level connection uses frame derivatives, unless
-    an analytic override is supplied in ``diag_connections[level]`` as
-    samples of shape (n_nodes, d, d).
+    numerically); the intra-level connection uses frame derivatives.
 
     Raises GapCollapse if any inter-level gap dips below ``gap_floor``
     (default 1e-6 * max(1, |E|_max)).
@@ -113,15 +110,8 @@ def couplings_from_path(path: SpectralPath, dh=None, h=None,
             delta = (path.energies[:, k] - path.energies[:, n])[:, None, None]
             mats[(n, k)] = bn_dag @ dh_samples @ path.blocks[k] / delta
     for n in range(path.n_levels):
-        if diag_connections is not None and n in diag_connections:
-            conn = np.asarray(diag_connections[n], dtype=complex)
-            d = path.dims[n]
-            if conn.shape != (path.grid.n, d, d):
-                raise DimensionMismatch("diagonal connection override shape mismatch")
-            mats[(n, n)] = conn
-        else:
-            dblock = central_derivative(path.blocks[n], path.grid)
-            mats[(n, n)] = np.swapaxes(path.blocks[n], 1, 2).conj() @ dblock
+        dblock = central_derivative(path.blocks[n], path.grid)
+        mats[(n, n)] = np.swapaxes(path.blocks[n], 1, 2).conj() @ dblock
     return CouplingSet(grid=path.grid, energies=path.energies, matrices=mats)
 
 

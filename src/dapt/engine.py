@@ -154,12 +154,15 @@ def advance_order(blocks: CorrectionBlocks, cs) -> CorrectionBlocks:
 
     h = cs.grid.h
     for n in levels:
-        g = sum(new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n)
+        # zero-array sum starts keep a single-level path (no sources) working
+        zero = np.zeros(blocks.block(n, n).shape, dtype=complex)
+        g = sum((new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n),
+                zero)
         mids = 0.5 * (cs.a(n, n)[:-1] + cs.a(n, n)[1:])
         full = unitary_expm(mids, h)
         half = unitary_expm(mids, h / 2.0)
         g_mid = 0.5 * (g[:-1] + g[1:])
-        start = -sum(new[(m, n)][0] for m in levels if m != n)
+        start = -sum((new[(m, n)][0] for m in levels if m != n), zero[0])
         new[(n, n)] = ordered_product(full, start, -h * g_mid @ half)
     return CorrectionBlocks(order=blocks.order + 1, grid=blocks.grid,
                             dims=blocks.dims, labels=blocks.labels, blocks=new)
@@ -257,11 +260,15 @@ def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
 class ValidityReport:
     """Adiabaticity margins for a ground-level start (label 0).
 
-    ``secular`` collects the J-integral margin per ground in-level label;
-    ``gap`` the per-excited-level mixing margin. Both are reported as full
+    The margins are the first-order term v psi^(1) of the label-0 ground
+    start (see first_order_state), in modulus and split by level:
+    ``secular`` is its part inside the ground level (the J-integral
+    piece, one column per ground in-level label), ``gap[n]`` its part in
+    excited level n (the mixing and s = 0 matching pieces). Both are full
     profiles over s plus their sup and end-of-protocol values; every margin
     carries the explicit factor v, so margins scale linearly as the sweep
-    slows at fixed protocol shape.
+    slows at fixed protocol shape. A single level gives zero secular
+    margins and no gap entries.
     """
 
     grid: Grid
@@ -278,26 +285,14 @@ class ValidityReport:
 
 def validity_margins(cs, holonomies, phases: DynamicalPhase, velocity: float,
                      threshold: float = 0.1) -> ValidityReport:
-    """Margins that must stay small for the order-0 description to hold."""
-    u0 = holonomies[0].u
-    if cs.n_levels < 2:
-        secular = np.zeros((cs.grid.n, u0.shape[2]))
-    else:
-        j_sum = None
-        for m in range(1, cs.n_levels):
-            j = j_integral(cs, holonomies, 0, m)
-            j_sum = j if j_sum is None else j_sum + j
-        secular = velocity * np.abs((j_sum @ u0)[:, 0, :])
-
-    gap_profiles = {}
-    for n in range(1, cs.n_levels):
-        delta_n0 = cs.gap(n, 0)
-        mixing = (u0 @ cs.recursion(0, n)) / delta_n0[:, None, None]
-        w1_0 = u0[0] @ cs.recursion(0, n)[0] @ holonomies[n].u[0].conj().T
-        matched = (w1_0 @ holonomies[n].u) / delta_n0[0]
-        osc = np.exp(-1j * (phases.omega[:, n] - phases.omega[:, 0]) / velocity)
-        gap_profiles[n] = velocity * np.abs(
-            mixing[:, 0, :] - osc[:, None] * matched[:, 0, :])
+    """Margins that must stay small for the order-0 description to hold:
+    v |psi^(1)| of the label-0 ground start, by level. Needs no correction
+    blocks, so it works on an order-0 workspace."""
+    psi1 = first_order_state(cs, holonomies, phases,
+                             ground_amplitudes(cs.n_levels), velocity)
+    secular, *excited = (velocity * np.abs(psi1.coefficients[:, 0, sl])
+                         for sl in level_slices(psi1.dims))
+    gap_profiles = dict(enumerate(excited, start=1))
 
     sup_gap = {n: float(p.max()) for n, p in gap_profiles.items()}
     final_gap = {n: float(p[-1].max()) for n, p in gap_profiles.items()}

@@ -62,6 +62,8 @@ def read_hamiltonian(path):
         dim, n = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from None
+    if dim < 1:
+        raise ConfigError(f"{path}: dimension must be at least 1, got {dim}")
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
     s = np.empty(n)

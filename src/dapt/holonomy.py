@@ -25,8 +25,8 @@ class HolonomyPath:
         return unitary_deviation(self.u)
 
 
-def wz_transport(a_nn: np.ndarray, grid: Grid, u0: np.ndarray = None,
-                 atol: float = 1e-3) -> np.ndarray:
+def wz_transport(a_nn: np.ndarray, grid: Grid,
+                 u0: np.ndarray = None) -> np.ndarray:
     """Solve dU/ds = U A(s) for anti-Hermitian A sampled on the grid.
 
     Midpoint-Magnus stepping: U(s_{k+1}) = U(s_k) expm(h A(s_{k+1/2})),
@@ -41,7 +41,8 @@ def wz_transport(a_nn: np.ndarray, grid: Grid, u0: np.ndarray = None,
         Anti-Hermitian generator samples (conjugated intra-level coupling).
     grid : Grid
     u0 : ndarray, optional
-        Initial unitary, identity by default.
+        Initial unitary, identity by default; rejected with
+        NonUnitaryInitial if it deviates from unitary by more than 1e-3.
 
     Returns
     -------
@@ -55,27 +56,25 @@ def wz_transport(a_nn: np.ndarray, grid: Grid, u0: np.ndarray = None,
         u0 = np.eye(d, dtype=complex)
     else:
         u0 = np.asarray(u0, dtype=complex)
-        if unitary_deviation(u0) > atol:
+        if unitary_deviation(u0) > 1e-3:
             raise NonUnitaryInitial(
                 f"initial transport matrix deviates from unitary by "
                 f"{unitary_deviation(u0):.3e}")
     mids = 0.5 * (a_nn[:-1] + a_nn[1:])
-    return ordered_product(unitary_expm(mids, grid.h, atol=atol), u0)
+    return ordered_product(unitary_expm(mids, grid.h), u0)
 
 
-def transport_all(cs, u0s=None) -> list:
-    """Wilczek-Zee transport for every level of a CouplingSet."""
-    out = []
-    for n in range(cs.n_levels):
-        u0 = None if u0s is None else u0s[n]
-        u = wz_transport(cs.a(n, n), cs.grid, u0=u0)
-        out.append(HolonomyPath(level=n, grid=cs.grid, u=u))
-    return out
+def transport_all(cs) -> list:
+    """Wilczek-Zee transport from the identity for every level of a
+    CouplingSet."""
+    return [HolonomyPath(level=n, grid=cs.grid,
+                         u=wz_transport(cs.a(n, n), cs.grid))
+            for n in range(cs.n_levels)]
 
 
 @dataclass(frozen=True)
 class CorrectedHolonomy:
-    """First-order-corrected holonomy data for the initially populated level.
+    """First-order-corrected holonomy data for the ground level (level 0).
 
     Attributes
     ----------
@@ -84,23 +83,16 @@ class CorrectedHolonomy:
         with the dynamical phase removed; reduces to the bare holonomy as
         v -> 0. Not exactly unitary: its defect grows like v^2.
     population : ndarray, shape (n, labels)
-        Probability weight remaining in the level after normalization.
-    norm : ndarray, shape (n, labels)
-        Normalization 1/||psi^(0) + v psi^(1)|| per label.
+        Probability weight remaining in the ground level after normalization.
     correction : ndarray, shape (n,), complex
         Scalar correction factor extracted from V U^dagger (the deviation
         of its mean diagonal from 1, divided by v).
-    excited : dict
-        Optional per-level leakage coefficients of the first-order state,
-        each of shape (n, labels, d_level), dynamical phase removed.
     velocity : float
     """
 
     v_matrix: np.ndarray
     population: np.ndarray
-    norm: np.ndarray
     correction: np.ndarray
-    excited: dict
     velocity: float
 
     def unitarity_deviation(self) -> float:
@@ -110,32 +102,31 @@ class CorrectedHolonomy:
 
 
 def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
-                       velocity: float, level: int = 0) -> CorrectedHolonomy:
+                       velocity: float) -> CorrectedHolonomy:
     """Combine zeroth- and first-order families into a corrected holonomy.
 
     The families must hold snapshot-basis coefficients (see StateFamily);
-    the zeroth order must start entirely inside ``level``. Rows of the
-    result are raw projections of psi^(0) + v psi^(1) onto the level's
-    frame, phase-unwound by the level's dynamical phase; no row
-    renormalization is applied, so the unitarity defect of the result is a
-    genuine O(v^2) diagnostic.
+    the zeroth order must start entirely inside the ground level (level 0),
+    whose transport is ``holonomy``. Rows of the result are raw projections
+    of psi^(0) + v psi^(1) onto the ground frame, phase-unwound by the
+    ground level's dynamical phase; no row renormalization is applied, so
+    the unitarity defect of the result is a genuine O(v^2) diagnostic.
 
     Raises NotGroundStart if the zeroth order has weight above 1e-10
-    outside ``level`` at s = 0.
+    outside level 0 at s = 0.
     """
-    slices = level_slices(psi0_family.dims)
-    sl = slices[level]
+    sl = level_slices(psi0_family.dims)[0]
     c0 = psi0_family.coefficients
     c1 = psi1_family.coefficients
     if c0.shape != c1.shape:
         raise DimensionMismatch("family shapes differ")
-    outside = np.linalg.norm(np.delete(c0[0], np.r_[sl], axis=1), axis=1)
+    outside = np.linalg.norm(c0[0, :, sl.stop:], axis=1)
     if outside.max() > 1e-10:
         raise NotGroundStart(
-            f"zeroth order has weight {outside.max():.3e} outside level {level} at s=0")
+            f"zeroth order has weight {outside.max():.3e} outside level 0 at s=0")
 
     total = c0 + velocity * c1
-    phase_back = np.exp(1j * phases.omega[:, level] / velocity)
+    phase_back = np.exp(1j * phases.omega[:, 0] / velocity)
     v_matrix = phase_back[:, None, None] * total[:, :, sl]
 
     norms = np.linalg.norm(total, axis=2)
@@ -145,13 +136,5 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
     d = v_matrix.shape[2]
     overlap = np.einsum("kij,kji->k", v_matrix[:, :d, :], u_dag) / d
     correction = (overlap - 1.0) / velocity
-
-    excited = {}
-    for n, other in enumerate(slices):
-        if n == level:
-            continue
-        back_n = np.exp(1j * phases.omega[:, n] / velocity)
-        excited[n] = back_n[:, None, None] * c1[:, :, other]
     return CorrectedHolonomy(v_matrix=v_matrix, population=population,
-                             norm=1.0 / norms, correction=correction,
-                             excited=excited, velocity=velocity)
+                             correction=correction, velocity=velocity)

@@ -120,13 +120,17 @@ class Workspace:
 
     def series_residuals(self, velocity: float, label: int = 0,
                          exact=None) -> list:
-        """Sup-norm mismatch of each partial sum against the reference."""
+        """Sup-norm mismatch of each partial sum against the reference.
+
+        The partial sums are accumulated term by term, so each order is
+        assembled once."""
         if exact is None:
             exact, _ = self.exact(velocity, label=label)
         out = []
+        psi = 0.0
         for p in range(self.order + 1):
-            fam = self.series(velocity, order=p)
-            psi = fam.vectors(self.path)[:, label, :]
+            term = self.term(p, velocity).vectors(self.path)[:, label, :]
+            psi = psi + velocity ** p * term
             out.append(residual(psi, exact))
         return out
 

@@ -112,6 +112,14 @@ def test_constant_hamiltonian_is_reproduced_exactly(in_tmp):
     assert doc["sup_residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("command", ["dapt", "validate", "holonomy", "evolve"])
+def test_single_level_file_runs_every_order(in_tmp, command):
+    # H = I has one level: no gaps, no mixing, and zero corrections
+    g = Grid.uniform(11)
+    write_hamiltonian("one.txt", np.broadcast_to(np.eye(2), (g.n, 2, 2)), g)
+    assert run(command, "--hamiltonian-file", "one.txt", "--order", "2") == 0
+
+
 @pytest.mark.parametrize("argv,code", [
     (("evolve", "--order", "7"), 2),
     (("evolve", "--grid-n", "2"), 2),

@@ -63,18 +63,6 @@ def test_index_convention_accessors(analytic):
     assert analytic.n_levels == 2
 
 
-def test_diagonal_connection_override(gamma, grid801, analytic):
-    path = gamma.spectral_path(grid801)
-    cs = couplings_from_path(path, dh=gamma.d_hamiltonian,
-                             diag_connections={0: analytic.m(0, 0),
-                                               1: analytic.m(1, 1)})
-    for n in (0, 1):
-        assert np.array_equal(cs.m(n, n), analytic.m(n, n))
-    with pytest.raises(DimensionMismatch):
-        couplings_from_path(path, dh=gamma.d_hamiltonian,
-                            diag_connections={0: analytic.m(0, 0)[:, :1, :]})
-
-
 def test_requires_some_hamiltonian_derivative(gamma, grid801):
     with pytest.raises(DimensionMismatch):
         couplings_from_path(gamma.spectral_path(grid801))

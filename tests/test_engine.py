@@ -7,6 +7,7 @@ from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
                   first_order_state, ground_amplitudes, j_integral,
                   series_state, smooth_gauge, snapshot_eigensystem,
                   transport_all, validity_margins, zero_order_blocks)
+from dapt.spectral import level_slices
 
 
 def vel(w):
@@ -153,3 +154,29 @@ def test_spin_model_scalar_blocks(spin):
     ph = DynamicalPhase.from_path(spin.spectral_path(g))
     fam = daa_state(cs, hols, ph, ground_amplitudes(2), vel(0.05))
     assert fam.coefficients.shape == (201, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def margin_workspaces(ws_gamma, spin, ragged):
+    g = Grid.uniform(401)
+    return {"gamma": ws_gamma,
+            "spin": Workspace.build(model=spin, grid=g, order=0),
+            "ragged": Workspace.build(samples=ragged(g), grid=g, order=0)}
+
+
+@pytest.mark.parametrize("route", ["gamma", "spin", "ragged"])
+@pytest.mark.parametrize("w", [0.05, 0.5])
+def test_margins_are_first_order_term(margin_workspaces, route, w):
+    # the margins are v |psi^(1)| of the label-0 ground start, by level
+    ws = margin_workspaces[route]
+    v = vel(w)
+    rep = ws.margins(v)
+    psi1 = first_order_state(ws.couplings, ws.holonomies, ws.phases,
+                             ground_amplitudes(ws.path.n_levels), v)
+    want = [v * np.abs(psi1.coefficients[:, 0, sl])
+            for sl in level_slices(ws.path.dims)]
+    got = [rep.secular] + [rep.gap[n] for n in range(1, ws.path.n_levels)]
+    assert sorted(rep.gap) == list(range(1, ws.path.n_levels))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

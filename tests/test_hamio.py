@@ -57,6 +57,8 @@ def test_missing_file_raises_oserror(tmp_path):
     "1 3\n0 1,0 5,0\n0.5 1,0\n1 1,0\n",
     "1 3\n0 1,x\n0.5 1,0\n1 1,0\n",
     "1 3\n0.2 1,0\n0.5 1,0\n1 1,0\n",
+    "0 3\n0\n0.5\n1\n",
+    "-1 3\n0\n0.5\n1\n",
 ])
 def test_malformed_files_raise_config_error(tmp_path, text):
     path = tmp_path / "bad.txt"
