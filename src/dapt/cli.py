@@ -122,7 +122,7 @@ def _echo(cfg: dict) -> dict:
 def cmd_evolve(cfg: dict) -> int:
     ws = _build(cfg)
     v = _velocity(cfg)
-    exact, drift = ws.exact(v, substeps=cfg["substeps"])
+    exact, drift, substeps = ws.exact(v, substeps=cfg["substeps"])
     fam = ws.series(v)
     series_vec = fam.vectors(ws.path)[:, 0, :]
     exact_coeff = np.einsum("kij,ki->kj", ws.path.basis().conj(), exact)
@@ -141,6 +141,7 @@ def cmd_evolve(cfg: dict) -> int:
         "sup_residual": float(res.max()),
         "final_residual": float(res[-1]),
         "norm_drift": drift,
+        "substeps": substeps,
     }, config=_echo(cfg))
     print(f"evolve: sup residual {res.max():.3e}; wrote {csv_path}, {json_path}")
     return 0
@@ -307,7 +308,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float,
                    help="validity margin threshold (default 0.1)")
     p.add_argument("--substeps", type=int,
-                   help="RK4 substeps per grid interval (default: automatic)")
+                   help="Magnus substeps per grid interval of the reference "
+                        "propagator (default: automatic)")
     p.add_argument("--numeric-transport", dest="numeric_transport",
                    action="store_true", default=None,
                    help="transport holonomies numerically even when the "

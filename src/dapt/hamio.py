@@ -107,11 +107,10 @@ def write_csv(path, columns) -> None:
     for c in cols:
         if len(c) != n:
             raise ValueError("CSV columns must share a length")
+    row = ",".join([FLOAT_FMT] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for k in range(n):
-            writer.writerow([_fmt(c[k]) for c in cols])
+        csv.writer(fh).writerow(names)
+        fh.writelines(row % tuple(r) for r in np.column_stack(cols))
 
 
 def read_csv(path) -> dict:

@@ -105,18 +105,18 @@ class Workspace:
     def exact(self, velocity: float, label: int = 0, substeps: int = None):
         """Reference evolution of the label-``label`` ground start.
 
-        Uses the model's closed form when one exists, otherwise the RK4
-        integrator on the stored samples (phase cap tightened well below
-        the propagate default, since this serves as the accuracy yardstick
-        for everything else). Returns (psi, norm_drift).
+        Uses the model's closed form when one exists, otherwise the
+        fourth-order Magnus propagator on the stored samples (or the
+        model's Hamiltonian) at its default phase cap. Returns
+        (psi, norm_drift, substeps), with 0 substeps for the closed form.
         """
         if self.model is not None and hasattr(self.model, "exact_state") \
                 and label == 0:
-            return self.model.exact_state(self.grid.s, velocity), 0.0
+            return self.model.exact_state(self.grid.s, velocity), 0.0, 0
         h = self.model.hamiltonian if self.model is not None else self.samples
         res = propagate(h, self.grid, self.start_vector(label), velocity,
-                        substeps=substeps, max_phase=0.005)
-        return res.psi, res.norm_drift
+                        substeps=substeps)
+        return res.psi, res.norm_drift, res.substeps
 
     def series_residuals(self, velocity: float, label: int = 0,
                          exact=None) -> list:
@@ -125,7 +125,7 @@ class Workspace:
         The partial sums are accumulated term by term, so each order is
         assembled once."""
         if exact is None:
-            exact, _ = self.exact(velocity, label=label)
+            exact = self.exact(velocity, label=label)[0]
         out = []
         psi = 0.0
         for p in range(self.order + 1):

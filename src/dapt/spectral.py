@@ -6,7 +6,6 @@ in-level label. Blocks are ragged: level n keeps its own degeneracy d_n
 columns, no zero padding.
 """
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 

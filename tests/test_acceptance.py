@@ -107,7 +107,7 @@ def test_3_first_order_correction(ws_numeric):
 
 
 def test_4_reference_propagator():
-    # measured: error 1.3e-10, drift 4.1e-13
+    # measured: error 1.3e-12, drift 3.6e-13
     m = GammaModel(gap=B, cone_angle=np.pi / 3)
     g = Grid.uniform(2001)
     v = vel(0.05)

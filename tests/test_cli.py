@@ -102,7 +102,7 @@ def test_hamiltonian_file_route(in_tmp, gamma):
 
 def test_constant_hamiltonian_is_reproduced_exactly(in_tmp):
     # order 0 with a frozen Hamiltonian leaves only reference-integrator
-    # error, which the tightened phase cap keeps below 1e-9
+    # error, and each Magnus step is exact for a constant Hamiltonian
     g = Grid.uniform(301)
     h0 = GammaModel(cone_angle=np.pi / 3).hamiltonian(0.0)
     write_hamiltonian("const.txt", np.broadcast_to(h0, (g.n, 4, 4)), g)
@@ -197,11 +197,13 @@ def test_substeps_flag_reaches_propagator(in_tmp):
     base = ("evolve", "--hamiltonian-file", "const.txt", "--order", "0",
             "--v", "0.01")
     assert run(*base, "--substeps", "1") == 0
-    coarse = read_json(in_tmp / "dapt_evolve.json")["sup_residual"]
+    assert read_json(in_tmp / "dapt_evolve.json")["substeps"] == 1
     assert run(*base) == 0
-    auto = read_json(in_tmp / "dapt_evolve.json")["sup_residual"]
-    assert coarse > 1e-6
-    assert auto <= 1e-9
+    # the automatic count caps the phase per substep at 0.1 rad
+    scale = np.abs(np.linalg.eigvalsh(h0)).max()
+    auto = int(np.ceil(g.h * scale / (0.01 * 0.1)))
+    assert auto > 1
+    assert read_json(in_tmp / "dapt_evolve.json")["substeps"] == auto
 
 
 def test_numeric_transport_flag(in_tmp, gamma):

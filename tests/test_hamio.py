@@ -1,4 +1,5 @@
 """File I/O: Hamiltonian text format, CSV round trips, JSON summaries."""
+import csv
 import json
 
 import numpy as np
@@ -85,6 +86,41 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back["s"], s)
     assert np.array_equal(back["amp"], z)
     assert np.array_equal(back["flag"], np.arange(9.0))
+
+
+def _csv_writer_reference(path, columns):
+    """Cell-by-cell csv.writer version of write_csv, kept as the byte
+    reference for the row-format writer."""
+    names, cols = [], []
+    for name, arr in columns:
+        arr = np.asarray(arr)
+        if np.iscomplexobj(arr):
+            names.extend([f"{name}_re", f"{name}_im"])
+            cols.extend([arr.real, arr.imag])
+        else:
+            names.append(name)
+            cols.append(arr.astype(float))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for k in range(len(cols[0])):
+            writer.writerow(["%.17g" % float(c[k]) for c in cols])
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    s = np.linspace(0.0, 1.0, 40)
+    z = (rng.normal(size=40) + 1j * rng.normal(size=40)) * 10.0 ** \
+        rng.integers(-300, 300, size=40)
+    odd = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1.0,
+                    -2.5, 0.1] * 4)
+    columns = [("s", s), ("amp", z), ("odd", odd), ("count", np.arange(40)),
+               ("single", np.exp(1j * s).astype(np.complex64)),
+               ("list", list(s))]
+    write_csv(tmp_path / "new.csv", columns)
+    _csv_writer_reference(tmp_path / "ref.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_csv_rejects_ragged_columns(tmp_path):

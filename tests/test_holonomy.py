@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from dapt import (DimensionMismatch, Grid, HolonomyPath, NonUnitaryInitial,
-                  NotGroundStart, Workspace, corrected_holonomy,
-                  transport_all, wz_transport)
+                  NotGroundStart, corrected_holonomy, transport_all,
+                  wz_transport)
 
 
 def vel(w):

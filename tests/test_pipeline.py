@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dapt import (ConfigError, Grid, InsufficientSweep, Workspace,
-                  fit_power_law, hamiltonian_samples, residual, sweep)
+                  fit_power_law, hamiltonian_samples, sweep)
 
 
 def vel(w):
@@ -50,8 +50,8 @@ def test_start_vector_is_ground_frame_column(gamma, ws_gamma):
 
 
 def test_exact_uses_model_closed_form(gamma, ws_gamma):
-    psi, drift = ws_gamma.exact(vel(0.05))
-    assert drift == 0.0
+    psi, drift, substeps = ws_gamma.exact(vel(0.05))
+    assert drift == 0.0 and substeps == 0
     assert np.abs(psi - gamma.exact_state(ws_gamma.grid.s, vel(0.05))).max() == 0.0
 
 
@@ -64,8 +64,8 @@ def test_file_route_agrees_with_model_route(gamma, ws_gamma, grid801):
     # different ground-frame gauges, same physics: residuals line up
     for a, b in zip(got, want):
         assert abs(a - b) < 1e-3
-    _, drift = ws_file.exact(v)
-    assert drift < 1e-10
+    _, drift, substeps = ws_file.exact(v)
+    assert drift < 1e-10 and substeps >= 1
 
 
 def test_fit_power_law_recovers_exponent():

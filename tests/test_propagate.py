@@ -1,7 +1,8 @@
-"""Reference RK4 propagator against closed forms and scipy."""
+"""Reference Magnus propagator against closed forms and scipy."""
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from dapt import (Grid, NonHermitianInput, StepTooLarge, hamiltonian_samples,
                   propagate, residual)
@@ -73,6 +74,44 @@ def test_sampled_hamiltonian_route(gamma, grid201):
     res = propagate(samples, grid201, psi0, v, substeps=4)
     # piecewise-linear interpolation of H(s) limits the sampled route
     assert residual(res.psi, gamma.exact_state(grid201.s, v)) < 5e-3
+
+
+def test_sampled_route_matches_independent_integrator(ragged):
+    # the samples route integrates the piecewise-linear interpolant of the
+    # samples; 400 intervals fill more than three blocks, the last partly
+    g = Grid.uniform(401)
+    v = 0.05
+    samples = ragged(g)
+    starts = np.linalg.eigh(samples[0])[1][:, :3].T
+
+    def rhs(s, y):
+        k = min(int(s / g.h), g.n - 2)
+        w = (s - g.s[k]) / g.h
+        hs = (1.0 - w) * samples[k] + w * samples[k + 1]
+        psi = (y[:18] + 1j * y[18:]).reshape(3, 6)
+        d = (-1j / v) * psi @ hs.T
+        return np.concatenate([d.real.ravel(), d.imag.ravel()])
+
+    y0 = np.concatenate([starts.real.ravel(), starts.imag.ravel()])
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, t_eval=g.s, rtol=1e-12, atol=1e-12,
+                    method="DOP853")
+    ref = (sol.y[:18] + 1j * sol.y[18:]).T.reshape(g.n, 3, 6)
+    batch = propagate(samples, g, starts, v, substeps=4)
+    single = propagate(samples, g, starts[0], v, substeps=4)
+    assert residual(batch.psi, ref) < 1e-8
+    assert residual(single.psi, ref[:, 0]) < 1e-8
+
+
+def test_constant_hamiltonian_is_exact_in_one_substep():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h0 = x + x.conj().T
+    g = Grid.uniform(51)
+    v = 0.1
+    psi0 = np.linalg.qr(x)[0][:, 0]
+    res = propagate(np.broadcast_to(h0, (g.n, 4, 4)), g, psi0, v, substeps=1)
+    ref = np.stack([expm(-1j * h0 * s / v) @ psi0 for s in g.s])
+    assert residual(res.psi, ref) < 1e-12
 
 
 def test_projection_onto_snapshot_basis(gamma):
