@@ -12,7 +12,7 @@ degeneracy among the initially populated levels, see label_count) because
 the s = 0 matching condition sums blocks of different source levels
 row-wise.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,9 +34,10 @@ class DynamicalPhase:
         return cls(grid=path.grid,
                    omega=cumulative_quadrature(path.energies, path.grid))
 
-    def factor(self, n: int, velocity: float) -> np.ndarray:
-        """Phase factor exp(-i omega_n(s) / v) on the grid."""
-        return np.exp(-1j * self.omega[:, n] / velocity)
+    def factors(self, velocity: float) -> np.ndarray:
+        """Phase factors exp(-i omega_n(s) / v) on the grid, shape
+        (n_nodes, n_levels): one exponential per level."""
+        return np.exp(-1j * self.omega / velocity)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,12 @@ class CorrectionBlocks:
 
     def block(self, m: int, n: int) -> np.ndarray:
         return self.blocks[(m, n)]
+
+    def label_row(self, h: int) -> "CorrectionBlocks":
+        """Copies of row h alone (initial-condition label h), labels = 1;
+        assembling them gives that label's coefficients and nothing else."""
+        return replace(self, labels=1, blocks={
+            key: b[:, h:h + 1].copy() for key, b in self.blocks.items()})
 
 
 def check_amplitudes(b0, n_levels: int) -> np.ndarray:
@@ -128,7 +135,25 @@ def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
                             blocks=blocks)
 
 
-def advance_order(blocks: CorrectionBlocks, cs) -> CorrectionBlocks:
+def transport_steps(cs) -> list:
+    """Midpoint exponentials of every level's transport generator.
+
+    Entry n is the pair (expm(h A_mid), expm(h A_mid / 2)) over the grid
+    intervals, A_mid the average of adjacent samples of cs.a(n, n), both
+    from one eigendecomposition. They depend on neither the order nor the
+    velocity: Workspace.build computes them once, transport_all chains the
+    first and advance_order uses both at every order.
+    """
+    h = cs.grid.h
+    steps = []
+    for n in range(cs.n_levels):
+        a = cs.a(n, n)
+        full, half = unitary_expm(0.5 * (a[:-1] + a[1:]), (h, h / 2.0))
+        steps.append((full, half))
+    return steps
+
+
+def advance_order(blocks: CorrectionBlocks, cs, steps: list) -> CorrectionBlocks:
     """Raise the expansion order p -> p + 1.
 
     Off-diagonal blocks are algebraic:
@@ -138,7 +163,8 @@ def advance_order(blocks: CorrectionBlocks, cs) -> CorrectionBlocks:
     G_n = sum_{k != n} B'_{nk} R^{kn}, integrated by the same midpoint
     exponential stepping as wz_transport (so a zero-source diagonal block
     reproduces the holonomy exactly), starting from the s = 0 matching
-    value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0).
+    value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0). ``steps`` are the levels'
+    midpoint exponentials from transport_steps.
     """
     levels = range(cs.n_levels)
     new = {}
@@ -158,9 +184,7 @@ def advance_order(blocks: CorrectionBlocks, cs) -> CorrectionBlocks:
         zero = np.zeros(blocks.block(n, n).shape, dtype=complex)
         g = sum((new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n),
                 zero)
-        mids = 0.5 * (cs.a(n, n)[:-1] + cs.a(n, n)[1:])
-        full = unitary_expm(mids, h)
-        half = unitary_expm(mids, h / 2.0)
+        full, half = steps[n]
         g_mid = 0.5 * (g[:-1] + g[1:])
         start = -sum((new[(m, n)][0] for m in levels if m != n), zero[0])
         new[(n, n)] = ordered_product(full, start, -h * g_mid @ half)
@@ -173,11 +197,11 @@ def assemble_state(blocks: CorrectionBlocks, phases: DynamicalPhase,
     """Snapshot coefficients of one order: sum_m e^{-i omega_m / v} B_{mn}."""
     n_nodes = blocks.grid.n
     dim = sum(blocks.dims)
+    factors = phases.factors(velocity)
     coeff = np.zeros((n_nodes, blocks.labels, dim), dtype=complex)
     for n, sl in enumerate(level_slices(blocks.dims)):
         for m in range(len(blocks.dims)):
-            coeff[:, :, sl] += (phases.factor(m, velocity)[:, None, None]
-                                * blocks.block(m, n))
+            coeff[:, :, sl] += factors[:, m, None, None] * blocks.block(m, n)
     return StateFamily(order=blocks.order, grid=blocks.grid, dims=blocks.dims,
                        coefficients=coeff)
 
@@ -216,22 +240,21 @@ def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
     return cumulative_quadrature(integrand, cs.grid)
 
 
-def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
-                      velocity: float) -> StateFamily:
-    """Closed-form first-order family psi^(1) (independent of advance_order).
+def first_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
+    """Closed-form first-order blocks (independent of advance_order).
 
-    Built from the three first-order contributions: the secular J-integral
-    piece inside each occupied level, the s = 0 matching piece, and the
-    instantaneous inter-level mixing piece. psi^(1)(0) = 0 by construction.
+    The three first-order contributions in the CorrectionBlocks layout:
+    block (n, n) holds the secular J-integral piece inside each occupied
+    level n plus the s = 0 matching piece, block (m, n) the instantaneous
+    mixing piece out of occupied level m. Velocity-free like every block;
+    their assembly psi^(1) vanishes at s = 0 by construction.
     """
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     levels = range(cs.n_levels)
     b0 = check_amplitudes(b0, cs.n_levels)
     labels = label_count(dims, b0)
-    n_nodes = cs.grid.n
-    dim = sum(dims)
-    coeff = np.zeros((n_nodes, labels, dim), dtype=complex)
-    slices = level_slices(dims)
+    blocks = {(m, n): np.zeros((cs.grid.n, labels, dims[n]), dtype=complex)
+              for m in levels for n in levels}
 
     for n in levels:
         u_n = holonomies[n].u
@@ -242,18 +265,24 @@ def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
             if b0[n] != 0.0:
                 j_nmn = j_integral(cs, holonomies, n, m)
                 term = 1j * b0[n] * (j_nmn @ u_n)
-                coeff[:, :, slices[n]] += (phases.factor(n, velocity)[:, None, None]
-                                           * _embed_rows(term, labels))
+                blocks[(n, n)] += _embed_rows(term, labels)
             if b0[m] != 0.0:
                 w1_0 = holonomies[m].u[0] @ cs.recursion(m, n)[0] \
                     @ u_n[0].conj().T
                 term = -1j * b0[m] * (w1_0 @ u_n) / delta_nm[0]
-                coeff[:, :, slices[n]] += (phases.factor(n, velocity)[:, None, None]
-                                           * _embed_rows(term, labels))
+                blocks[(n, n)] += _embed_rows(term, labels)
                 term = 1j * b0[m] * (holonomies[m].u @ cs.recursion(m, n)) / delta_nm
-                coeff[:, :, slices[n]] += (phases.factor(m, velocity)[:, None, None]
-                                           * _embed_rows(term, labels))
-    return StateFamily(order=1, grid=cs.grid, dims=dims, coefficients=coeff)
+                blocks[(m, n)] += _embed_rows(term, labels)
+    return CorrectionBlocks(order=1, grid=cs.grid, dims=dims, labels=labels,
+                            blocks=blocks)
+
+
+def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
+                      velocity: float) -> StateFamily:
+    """Closed-form first-order family psi^(1): first_order_blocks assembled
+    at one velocity."""
+    return assemble_state(first_order_blocks(cs, holonomies, b0), phases,
+                          velocity)
 
 
 @dataclass(frozen=True)
@@ -283,13 +312,16 @@ class ValidityReport:
     adiabatic_ok: bool
 
 
-def validity_margins(cs, holonomies, phases: DynamicalPhase, velocity: float,
-                     threshold: float = 0.1) -> ValidityReport:
+def validity_margins(blocks: CorrectionBlocks, phases: DynamicalPhase,
+                     velocity: float, threshold: float = 0.1) -> ValidityReport:
     """Margins that must stay small for the order-0 description to hold:
-    v |psi^(1)| of the label-0 ground start, by level. Needs no correction
-    blocks, so it works on an order-0 workspace."""
-    psi1 = first_order_state(cs, holonomies, phases,
-                             ground_amplitudes(cs.n_levels), velocity)
+    v |psi^(1)| of the label-0 ground start, by level.
+
+    ``blocks`` are the first_order_blocks of the ground start; only label
+    row 0 is read, so its label_row(0) suffices and assembles nothing
+    else. Needs no correction blocks, so it works on an order-0 workspace.
+    """
+    psi1 = assemble_state(blocks, phases, velocity)
     secular, *excited = (velocity * np.abs(psi1.coefficients[:, 0, sl])
                          for sl in level_slices(psi1.dims))
     gap_profiles = dict(enumerate(excited, start=1))
@@ -298,7 +330,7 @@ def validity_margins(cs, holonomies, phases: DynamicalPhase, velocity: float,
     final_gap = {n: float(p[-1].max()) for n, p in gap_profiles.items()}
     sup_secular = float(secular.max())
     ok = sup_secular <= threshold and all(v <= threshold for v in sup_gap.values())
-    return ValidityReport(grid=cs.grid, velocity=velocity, threshold=threshold,
+    return ValidityReport(grid=blocks.grid, velocity=velocity, threshold=threshold,
                           secular=secular, gap=gap_profiles,
                           sup_secular=sup_secular, sup_gap=sup_gap,
                           final_secular=float(secular[-1].max()),

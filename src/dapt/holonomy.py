@@ -64,12 +64,20 @@ def wz_transport(a_nn: np.ndarray, grid: Grid,
     return ordered_product(unitary_expm(mids, grid.h), u0)
 
 
-def transport_all(cs) -> list:
+def transport_all(cs, steps: list = None) -> list:
     """Wilczek-Zee transport from the identity for every level of a
-    CouplingSet."""
-    return [HolonomyPath(level=n, grid=cs.grid,
-                         u=wz_transport(cs.a(n, n), cs.grid))
-            for n in range(cs.n_levels)]
+    CouplingSet.
+
+    ``steps`` are the levels' midpoint exponentials when they are already
+    computed (engine.transport_steps); their first factors are chained as
+    wz_transport would chain its own, so the result is the same.
+    """
+    if steps is None:
+        us = [wz_transport(cs.a(n, n), cs.grid) for n in range(cs.n_levels)]
+    else:
+        us = [ordered_product(full, np.eye(full.shape[1], dtype=complex))
+              for full, _ in steps]
+    return [HolonomyPath(level=n, grid=cs.grid, u=u) for n, u in enumerate(us)]
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,12 @@ def ordered_product(factors: np.ndarray, start: np.ndarray,
     return x
 
 
-def unitary_expm(a: np.ndarray, dt: float = 1.0, atol: float = 1e-3) -> np.ndarray:
+def unitary_expm(a: np.ndarray, dt=1.0, atol: float = 1e-3) -> np.ndarray:
     """exp(a * dt) for anti-Hermitian a (batched on leading axes).
+
+    ``dt`` is one step or an array of steps; every step is exponentiated
+    from the same eigendecomposition, and the result carries dt's shape in
+    front of a's.
 
     The generator is projected onto its anti-Hermitian part before
     exponentiating: finite-difference-sourced connections carry a spurious
@@ -63,5 +67,6 @@ def unitary_expm(a: np.ndarray, dt: float = 1.0, atol: float = 1e-3) -> np.ndarr
     if dev > atol:
         raise NotAntiHermitian(f"generator deviates from anti-Hermitian by {dev:.3e}")
     lam, v = np.linalg.eigh(0.5j * (a - a_dag))
-    phase = np.exp(-1j * lam * dt)
+    dt = np.asarray(dt, dtype=float)
+    phase = np.exp(-1j * lam * dt.reshape(dt.shape + (1,) * lam.ndim))
     return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())

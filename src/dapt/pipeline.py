@@ -1,9 +1,19 @@
 """End-to-end orchestration: build once, evaluate at any sweep velocity.
 
-A Workspace bundles everything that is independent of the sweep velocity
-(spectral path, couplings, holonomies, phase integrals, correction blocks),
-so a velocity sweep re-uses one spectral/coupling computation and only the
-cheap assembly step runs per point.
+Workspace.build computes everything that is independent of the sweep
+velocity, once: the spectral path and its snapshot basis, the couplings,
+one eigendecomposition per level of the transport generator (shared by the
+holonomies and every order's diagonal blocks), the holonomies, the phase
+integrals omega_n(s), the correction blocks of every order, and the
+first-order blocks of the label-0 ground start that the validity margins
+read (their J-integral quadratures included).
+
+A velocity point then computes only the phase factors exp(-i omega_n / v),
+one per level, and phase-weighted sums of stored blocks: in a sweep, each
+order is assembled once and shared by the residuals and the corrected
+holonomy, the label-0 row alone where only it is read. Its one other cost
+is the reference state: the model's closed form, or the propagator on the
+file route.
 """
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -12,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import couplings_from_path
-from .engine import (DynamicalPhase, StateFamily, ValidityReport,
-                     advance_order, assemble_state, ground_amplitudes,
-                     series_state, validity_margins, zero_order_blocks)
+from .engine import (CorrectionBlocks, DynamicalPhase, StateFamily,
+                     ValidityReport, advance_order, assemble_state,
+                     first_order_blocks, ground_amplitudes, series_state,
+                     transport_steps, validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
 from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
-from .propagate import propagate, residual
+from .propagate import propagate, residual, substep_count
 from .spectral import smooth_gauge, snapshot_eigensystem
 
 
@@ -32,6 +43,7 @@ class Workspace:
     holonomies: list
     phases: DynamicalPhase
     blocks: list               # CorrectionBlocks, orders 0..order
+    margin_blocks: CorrectionBlocks   # first order, label-0 ground start
     order: int
     model: object = None
     samples: np.ndarray = None
@@ -61,18 +73,20 @@ class Workspace:
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
             cs = couplings_from_path(path, h=samples, gap_floor=gap_floor)
+        steps = transport_steps(cs)
         if model_holonomy and model is not None and hasattr(model, "holonomies"):
             holonomies = model.holonomies(grid)
         else:
-            holonomies = transport_all(cs)
+            holonomies = transport_all(cs, steps)
         phases = DynamicalPhase.from_path(path)
-        blocks = [zero_order_blocks(cs, holonomies,
-                                    ground_amplitudes(path.n_levels))]
+        ground = ground_amplitudes(path.n_levels)
+        blocks = [zero_order_blocks(cs, holonomies, ground)]
         for _ in range(order):
-            blocks.append(advance_order(blocks[-1], cs))
+            blocks.append(advance_order(blocks[-1], cs, steps))
+        margin_blocks = first_order_blocks(cs, holonomies, ground).label_row(0)
         return cls(grid=grid, path=path, couplings=cs, holonomies=holonomies,
-                   phases=phases, blocks=blocks, order=order, model=model,
-                   samples=samples)
+                   phases=phases, blocks=blocks, margin_blocks=margin_blocks,
+                   order=order, model=model, samples=samples)
 
     def series(self, velocity: float, order: int = None) -> StateFamily:
         """Partial sum up to ``order`` (default: everything built)."""
@@ -87,14 +101,17 @@ class Workspace:
         return assemble_state(self.blocks[p], self.phases, velocity)
 
     def margins(self, velocity: float, threshold: float = 0.1) -> ValidityReport:
-        return validity_margins(self.couplings, self.holonomies, self.phases,
-                                velocity, threshold=threshold)
+        return validity_margins(self.margin_blocks, self.phases, velocity,
+                                threshold=threshold)
 
-    def corrected(self, velocity: float) -> CorrectedHolonomy:
+    def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
+        """First-order-corrected ground holonomy. ``terms`` may hold this
+        velocity's order-0 and order-1 families (all labels) when they are
+        already assembled."""
         if self.order < 1:
             raise ConfigError("corrected holonomy needs order >= 1")
-        psi0 = self.term(0, velocity)
-        psi1 = self.term(1, velocity)
+        psi0, psi1 = terms[:2] if terms else (self.term(0, velocity),
+                                              self.term(1, velocity))
         return corrected_holonomy(psi0, psi1, self.phases, self.holonomies[0],
                                   velocity)
 
@@ -114,22 +131,33 @@ class Workspace:
                 and label == 0:
             return self.model.exact_state(self.grid.s, velocity), 0.0, 0
         h = self.model.hamiltonian if self.model is not None else self.samples
+        if substeps is None:
+            # max |E| is read off the stored energies, not re-diagonalized
+            substeps = substep_count(float(np.abs(self.path.energies).max()),
+                                     self.grid.h, velocity)
         res = propagate(h, self.grid, self.start_vector(label), velocity,
                         substeps=substeps)
         return res.psi, res.norm_drift, res.substeps
 
     def series_residuals(self, velocity: float, label: int = 0,
-                         exact=None) -> list:
+                         exact=None, terms=()) -> list:
         """Sup-norm mismatch of each partial sum against the reference.
 
         The partial sums are accumulated term by term, so each order is
-        assembled once."""
+        assembled once, for row ``label`` alone. ``terms`` may hold this
+        velocity's leading families (all labels) when they are already
+        assembled; those orders are read from them instead."""
         if exact is None:
             exact = self.exact(velocity, label=label)[0]
         out = []
         psi = 0.0
         for p in range(self.order + 1):
-            term = self.term(p, velocity).vectors(self.path)[:, label, :]
+            if p < len(terms):
+                row = terms[p].coefficients[:, label:label + 1]
+            else:
+                row = assemble_state(self.blocks[p].label_row(label),
+                                     self.phases, velocity).coefficients
+            term = np.einsum("kij,khj->khi", self.path.basis(), row)[:, 0, :]
             psi = psi + velocity ** p * term
             out.append(residual(psi, exact))
         return out
@@ -193,11 +221,13 @@ class SweepResult:
 
 
 def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
-    res = ws.series_residuals(velocity)
+    # orders 0 and 1 serve both the residuals and the corrected holonomy
+    terms = [ws.term(p, velocity) for p in (0, 1)] if ws.order >= 1 else []
+    res = ws.series_residuals(velocity, terms=terms)
     rep = ws.margins(velocity, threshold=threshold)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:
-        defect = ws.corrected(velocity).unitarity_deviation()
+        defect = ws.corrected(velocity, terms=terms).unitarity_deviation()
     else:
         defect = float("nan")
     return SweepRow(velocity=velocity, residuals=tuple(res),

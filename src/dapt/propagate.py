@@ -24,6 +24,7 @@ from .linalg import hermitian_part, ordered_product
 from .spectral import SpectralPath, hamiltonian_samples
 
 BLOCK = 128                    # intervals exponentiated per batch
+MAX_PHASE = 0.1                # default phase cap per substep, radians
 GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 
@@ -79,8 +80,16 @@ def _interval_factors(h, samples: np.ndarray, grid: Grid, k: np.ndarray,
     return out
 
 
-def propagate(h, grid: Grid, psi0, velocity: float, max_phase: float = 0.1,
-              substeps: int = None,
+def substep_count(scale: float, h: float, velocity: float,
+                  max_phase: float = MAX_PHASE) -> int:
+    """Substeps per grid interval of width h that keep the phase advanced
+    per substep, h scale / (v substeps), within max_phase; ``scale`` bounds
+    |E| over the path."""
+    return max(1, math.ceil(h * scale / (velocity * max_phase)))
+
+
+def propagate(h, grid: Grid, psi0, velocity: float,
+              max_phase: float = MAX_PHASE, substeps: int = None,
               max_steps: int = 2_000_000) -> PropagationResult:
     """Integrate the exact dynamics for one or more initial states.
 
@@ -101,7 +110,7 @@ def propagate(h, grid: Grid, psi0, velocity: float, max_phase: float = 0.1,
 
     if substeps is None:
         scale = float(np.abs(np.linalg.eigvalsh(samples)).max())
-        substeps = max(1, math.ceil(grid.h * scale / (velocity * max_phase)))
+        substeps = substep_count(scale, grid.h, velocity, max_phase)
     total = (grid.n - 1) * substeps
     if total > max_steps:
         raise StepTooLarge(

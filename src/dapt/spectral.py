@@ -49,6 +49,10 @@ class SpectralPath:
         for b in self.blocks:
             if b.shape[0] != n or b.shape[1] != dim:
                 raise DimensionMismatch("frame block shape mismatch")
+        # the basis is read at every velocity, so it is concatenated once
+        basis = np.concatenate(self.blocks, axis=2)
+        basis.flags.writeable = False
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def n_levels(self) -> int:
@@ -67,8 +71,9 @@ class SpectralPath:
         return sum(self.dims)
 
     def basis(self) -> np.ndarray:
-        """Full snapshot basis, shape (n, dim, dim): blocks side by side."""
-        return np.concatenate(self.blocks, axis=2)
+        """Full snapshot basis, shape (n, dim, dim): blocks side by side
+        (read-only, shared by every caller)."""
+        return self._basis
 
     def projectors(self, level: int) -> np.ndarray:
         """Rank-d_level projectors block @ block^dagger, shape (n, dim, dim)."""

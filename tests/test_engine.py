@@ -7,6 +7,7 @@ from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
                   first_order_state, ground_amplitudes, j_integral,
                   series_state, smooth_gauge, snapshot_eigensystem,
                   transport_all, validity_margins, zero_order_blocks)
+from dapt.engine import first_order_blocks
 from dapt.spectral import level_slices
 
 
@@ -20,7 +21,7 @@ def test_dynamical_phase_linear_for_constant_energies(gamma, grid801):
     assert np.abs(ph.omega[:, 1] - 0.5 * grid801.s).max() < 1e-14
     v = vel(0.05)
     want = np.exp(1j * 0.5 * grid801.s / v)
-    assert np.abs(ph.factor(0, v) - want).max() < 1e-12
+    assert np.abs(ph.factors(v)[:, 0] - want).max() < 1e-12
 
 
 def test_amplitude_validation():
@@ -138,7 +139,8 @@ def test_margins_with_single_level():
     cs = couplings_via_frame_derivatives(path)
     hols = transport_all(cs)
     ph = DynamicalPhase.from_path(path)
-    rep = validity_margins(cs, hols, ph, vel(0.05))
+    rep = validity_margins(first_order_blocks(cs, hols, ground_amplitudes(1)),
+                           ph, vel(0.05))
     assert rep.adiabatic_ok
     assert rep.sup_secular == 0.0
     assert rep.sup_gap == {}

@@ -5,6 +5,7 @@ import pytest
 from dapt import (DimensionMismatch, Grid, HolonomyPath, NonUnitaryInitial,
                   NotGroundStart, corrected_holonomy, transport_all,
                   wz_transport)
+from dapt.engine import transport_steps
 
 
 def vel(w):
@@ -121,6 +122,10 @@ def test_corrected_holonomy_shape_mismatch(ws_gamma):
 
 def test_transport_all_levels(gamma):
     g = Grid.uniform(101)
-    hols = transport_all(gamma.couplings(g))
+    cs = gamma.couplings(g)
+    hols = transport_all(cs)
     assert [h.level for h in hols] == [0, 1]
     assert all(isinstance(h, HolonomyPath) for h in hols)
+    # the workspace's shared midpoint exponentials give the same transport
+    shared = transport_all(cs, transport_steps(cs))
+    assert all(np.array_equal(a.u, b.u) for a, b in zip(hols, shared))

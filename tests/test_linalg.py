@@ -47,6 +47,11 @@ def test_expm_batched_matches_per_slice():
     batch = unitary_expm(a, dt=0.3)
     for k in range(5):
         assert np.abs(batch[k] - unitary_expm(a[k], dt=0.3)).max() < 1e-13
+    # an array of steps shares one eigendecomposition: the same bits as
+    # one call per step
+    full, half = unitary_expm(a, dt=(0.3, 0.15))
+    assert np.array_equal(full, batch)
+    assert np.array_equal(half, unitary_expm(a, dt=0.15))
 
 
 def test_expm_projects_discretization_noise():

@@ -2,8 +2,13 @@
 import numpy as np
 import pytest
 
-from dapt import (ConfigError, Grid, InsufficientSweep, Workspace,
-                  fit_power_law, hamiltonian_samples, sweep)
+import dapt.engine
+from dapt import (ConfigError, Grid, InsufficientSweep, StateFamily,
+                  Workspace, corrected_holonomy, first_order_state,
+                  fit_power_law, ground_amplitudes, hamiltonian_samples,
+                  j_integral, propagate, residual, sweep)
+from dapt.pipeline import _sweep_point
+from dapt.spectral import level_slices
 
 
 def vel(w):
@@ -124,3 +129,136 @@ def test_series_residuals_accept_external_reference(gamma, ws_gamma):
     res = ws_gamma.series_residuals(v, exact=exact)
     assert len(res) == 3
     assert res[0] > res[1] > res[2]
+
+
+# The per-point code of a sweep before the velocity-free first-order blocks
+# were stored, kept as the reference: the first-order term and its margins
+# rebuilt at every velocity, one phase exponential per block, and the
+# terms assembled separately for the residuals and the corrected holonomy.
+
+def _reference_assemble(blocks, phases, velocity):
+    coeff = np.zeros((blocks.grid.n, blocks.labels, sum(blocks.dims)),
+                     dtype=complex)
+    for n, sl in enumerate(level_slices(blocks.dims)):
+        for m in range(len(blocks.dims)):
+            factor = np.exp(-1j * phases.omega[:, m] / velocity)
+            coeff[:, :, sl] += factor[:, None, None] * blocks.block(m, n)
+    return coeff
+
+
+def _reference_first_order(cs, holonomies, phases, velocity):
+    """psi^(1) of the ground start, each piece phase-weighted as built."""
+    dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
+    b0 = ground_amplitudes(cs.n_levels)
+    labels = dims[0]
+    coeff = np.zeros((cs.grid.n, labels, sum(dims)), dtype=complex)
+    slices = level_slices(dims)
+
+    def factor(n):
+        return np.exp(-1j * phases.omega[:, n] / velocity)[:, None, None]
+
+    def embed(term):
+        out = np.zeros((cs.grid.n, labels, term.shape[2]), dtype=complex)
+        out[:, :term.shape[1], :] = term
+        return out
+
+    for n in range(cs.n_levels):
+        u_n = holonomies[n].u
+        for m in range(cs.n_levels):
+            if m == n:
+                continue
+            delta_nm = cs.gap(n, m)[:, None, None]
+            if b0[n] != 0.0:
+                term = 1j * b0[n] * (j_integral(cs, holonomies, n, m) @ u_n)
+                coeff[:, :, slices[n]] += factor(n) * embed(term)
+            if b0[m] != 0.0:
+                w1_0 = holonomies[m].u[0] @ cs.recursion(m, n)[0] \
+                    @ u_n[0].conj().T
+                term = -1j * b0[m] * (w1_0 @ u_n) / delta_nm[0]
+                coeff[:, :, slices[n]] += factor(n) * embed(term)
+                term = 1j * b0[m] * (holonomies[m].u @ cs.recursion(m, n)) \
+                    / delta_nm
+                coeff[:, :, slices[n]] += factor(m) * embed(term)
+    return coeff
+
+
+def _reference_row(ws, velocity):
+    if ws.samples is None:
+        exact = ws.exact(velocity)[0]
+    else:
+        exact = propagate(ws.samples, ws.grid, ws.start_vector(0),
+                          velocity).psi
+    basis = ws.path.basis()
+    res, psi = [], 0.0
+    for p in range(ws.order + 1):
+        coeff = _reference_assemble(ws.blocks[p], ws.phases, velocity)
+        psi = psi + velocity ** p * np.einsum("kij,khj->khi", basis,
+                                              coeff)[:, 0, :]
+        res.append(residual(psi, exact))
+    psi1 = _reference_first_order(ws.couplings, ws.holonomies, ws.phases,
+                                  velocity)
+    secular, *excited = (velocity * np.abs(psi1[:, 0, sl])
+                         for sl in level_slices(ws.path.dims))
+    families = [StateFamily(order=p, grid=ws.grid, dims=ws.path.dims,
+                            coefficients=_reference_assemble(
+                                ws.blocks[p], ws.phases, velocity))
+                for p in (0, 1)]
+    defect = corrected_holonomy(*families, ws.phases, ws.holonomies[0],
+                                velocity).unitarity_deviation()
+    return (*res, float(secular.max()),
+            max(float(e.max()) for e in excited), defect)
+
+
+@pytest.fixture(scope="module")
+def sweep_workspaces(gamma, spin, ragged):
+    g = Grid.uniform(401)
+    return {"gamma": Workspace.build(model=gamma, grid=Grid.uniform(2001),
+                                     order=2),
+            "spin": Workspace.build(model=spin, grid=g, order=2),
+            "ragged": Workspace.build(samples=ragged(g), grid=g, order=2)}
+
+
+@pytest.mark.parametrize("route", ["gamma", "spin", "ragged"])
+def test_sweep_rows_match_per_point_reference(sweep_workspaces, route):
+    ws = sweep_workspaces[route]
+    vs = [0.005, 0.01, 0.02, 0.05]
+    rows = sweep(ws, vs).rows
+    for row, v in zip(rows, vs):
+        got = (*row.residuals, row.margin_secular, row.margin_gap,
+               row.holonomy_defect)
+        want = _reference_row(ws, v)
+        assert np.all(np.abs(np.subtract(got, want))
+                      <= 1e-12 * np.abs(want)), (v, got, want)
+    # pooled and serial evaluation give the same rows
+    assert rows == [_sweep_point(ws, v, 0.1) for v in vs]
+    if ws.samples is not None:
+        # the workspace's substep count is the propagator's own
+        for v in vs:
+            auto = propagate(ws.samples, ws.grid, ws.start_vector(0), v)
+            assert ws.exact(v)[2] == auto.substeps
+
+
+def test_velocity_points_run_no_quadrature(sweep_workspaces, monkeypatch):
+    # after build, a velocity point pays for phase factors and sums only
+    calls = {"j_integral": 0, "cumulative_quadrature": 0}
+
+    def counted(name):
+        original = getattr(dapt.engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dapt.engine, name, counted(name))
+    for route in ("gamma", "ragged"):
+        ws = sweep_workspaces[route]
+        for v in (0.005, 0.01, 0.05):
+            ws.margins(v)
+        sweep(ws, [0.005, 0.01, 0.02, 0.05])
+    assert calls == {"j_integral": 0, "cumulative_quadrature": 0}
+    # the counters do see the quadratures of a per-velocity rebuild
+    first_order_state(ws.couplings, ws.holonomies, ws.phases,
+                      ground_amplitudes(ws.path.n_levels), 0.01)
+    assert calls["j_integral"] > 0 and calls["cumulative_quadrature"] > 0
