@@ -221,9 +221,12 @@ class SweepResult:
 
 
 def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
-    # orders 0 and 1 serve both the residuals and the corrected holonomy
+    # the reference first, so its temporaries are gone before the terms
+    # exist; orders 0 and 1 serve both the residuals and the corrected
+    # holonomy
+    exact = ws.exact(velocity)[0]
     terms = [ws.term(p, velocity) for p in (0, 1)] if ws.order >= 1 else []
-    res = ws.series_residuals(velocity, terms=terms)
+    res = ws.series_residuals(velocity, exact=exact, terms=terms)
     rep = ws.margins(velocity, threshold=threshold)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:

@@ -34,7 +34,7 @@ class SpectralPath:
         Level energies, ascending in the level index at every node.
     blocks : tuple of ndarray
         One array per level, shape (n, dim, d_level); columns are the
-        eigenvector frame at each node.
+        eigenvector frame at each node. Read-only views of the basis.
     """
 
     grid: Grid
@@ -49,10 +49,13 @@ class SpectralPath:
         for b in self.blocks:
             if b.shape[0] != n or b.shape[1] != dim:
                 raise DimensionMismatch("frame block shape mismatch")
-        # the basis is read at every velocity, so it is concatenated once
+        # The basis is read at every velocity, so it is concatenated once;
+        # the blocks become views of it rather than a second copy.
         basis = np.concatenate(self.blocks, axis=2)
         basis.flags.writeable = False
         object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "blocks", tuple(
+            basis[:, :, sl] for sl in level_slices(self.dims)))
 
     @property
     def n_levels(self) -> int:
