@@ -10,9 +10,10 @@ from .couplings import (CouplingSet, couplings_from_path,
                         couplings_via_frame_derivatives)
 from .engine import (CorrectionBlocks, DynamicalPhase, StateFamily,
                      ValidityReport, advance_order, assemble_state,
-                     check_amplitudes, daa_state, first_order_state,
-                     ground_amplitudes, j_integral, series_state,
-                     validity_margins, zero_order_blocks)
+                     check_amplitudes, daa_state, first_order_blocks,
+                     first_order_state, ground_amplitudes, j_integral,
+                     series_state, transport_steps, validity_margins,
+                     zero_order_blocks)
 from .errors import (BadInitialCondition, ConfigError, DaptError,
                      DegeneracyChanged, DimensionMismatch, GapCollapse,
                      GridTooSmall, InsufficientSweep, NonHermitianInput,
@@ -47,10 +48,12 @@ __all__ = [
     "assemble_state", "central_derivative", "check_amplitudes",
     "corrected_holonomy", "couplings_from_path",
     "couplings_via_frame_derivatives", "cumulative_quadrature", "daa_state",
-    "first_order_state", "fit_power_law", "ground_amplitudes",
+    "first_order_blocks", "first_order_state", "fit_power_law",
+    "ground_amplitudes",
     "hamiltonian_samples", "j_integral", "propagate", "read_csv",
     "read_hamiltonian", "residual", "series_state", "smooth_gauge",
-    "snapshot_eigensystem", "sweep", "transport_all", "unitary_deviation",
+    "snapshot_eigensystem", "sweep", "transport_all", "transport_steps",
+    "unitary_deviation",
     "unitary_expm", "validity_margins", "write_csv", "write_hamiltonian",
     "write_summary", "wz_transport", "zero_order_blocks",
 ]

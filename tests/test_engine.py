@@ -4,10 +4,10 @@ import pytest
 
 from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
                   check_amplitudes, couplings_via_frame_derivatives, daa_state,
-                  first_order_state, ground_amplitudes, j_integral,
-                  series_state, smooth_gauge, snapshot_eigensystem,
-                  transport_all, validity_margins, zero_order_blocks)
-from dapt.engine import first_order_blocks
+                  first_order_blocks, first_order_state, ground_amplitudes,
+                  j_integral, series_state, smooth_gauge,
+                  snapshot_eigensystem, transport_all, validity_margins,
+                  zero_order_blocks)
 from dapt.spectral import level_slices
 
 

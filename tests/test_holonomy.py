@@ -4,8 +4,7 @@ import pytest
 
 from dapt import (DimensionMismatch, Grid, HolonomyPath, NonUnitaryInitial,
                   NotGroundStart, corrected_holonomy, transport_all,
-                  wz_transport)
-from dapt.engine import transport_steps
+                  transport_steps, wz_transport)
 
 
 def vel(w):
