@@ -73,17 +73,20 @@ class Workspace:
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
             cs = couplings_from_path(path, h=samples, gap_floor=gap_floor)
-        steps = transport_steps(cs)
-        if model_holonomy and model is not None and hasattr(model, "holonomies"):
+        closed_form = model_holonomy and model is not None \
+            and hasattr(model, "holonomies")
+        # the transport and every order > 0 share these; nothing else reads them
+        steps = transport_steps(cs) if order > 0 or not closed_form else []
+        if closed_form:
             holonomies = model.holonomies(grid)
         else:
             holonomies = transport_all(cs, steps)
         phases = DynamicalPhase.from_path(path)
         ground = ground_amplitudes(path.n_levels)
+        margin_blocks = first_order_blocks(cs, holonomies, ground).label_row(0)
         blocks = [zero_order_blocks(cs, holonomies, ground)]
         for _ in range(order):
             blocks.append(advance_order(blocks[-1], cs, steps))
-        margin_blocks = first_order_blocks(cs, holonomies, ground).label_row(0)
         return cls(grid=grid, path=path, couplings=cs, holonomies=holonomies,
                    phases=phases, blocks=blocks, margin_blocks=margin_blocks,
                    order=order, model=model, samples=samples)
