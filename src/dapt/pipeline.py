@@ -16,6 +16,7 @@ is the reference state: the model's closed form, or the propagator on the
 file route.
 """
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -253,7 +254,10 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
     if max(vs) / min(vs) < 10.0:
         raise InsufficientSweep("sweep must span at least one decade")
     vs = sorted(vs)
-    with ThreadPoolExecutor(max_workers=min(8, len(vs))) as pool:
+    # a point's array work releases the GIL, so threads beyond the cores
+    # add no speed, only another point's temporaries held at once
+    workers = min(8, os.cpu_count() or 1, len(vs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(lambda v: _sweep_point(ws, v, threshold), vs))
     fits = []
     v_arr = np.array(vs)
