@@ -119,7 +119,8 @@ def _embed_rows(mat: np.ndarray, labels: int) -> np.ndarray:
 
 
 def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
-    """Order-0 blocks: B_{nn} = b_n(0) U^n(s), every other block zero."""
+    """Order-0 blocks: B_{nn} = b_n(0) U^n(s), every other block zero
+    (a read-only broadcast of one zero, which holds no memory)."""
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     b0 = check_amplitudes(b0, cs.n_levels)
     labels = label_count(dims, b0)
@@ -130,7 +131,8 @@ def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
             if m == n and b0[n] != 0.0:
                 blocks[(m, n)] = _embed_rows(b0[n] * holonomies[n].u, labels)
             else:
-                blocks[(m, n)] = np.zeros((n_nodes, labels, dims[n]), dtype=complex)
+                blocks[(m, n)] = np.broadcast_to(np.zeros((), dtype=complex),
+                                                 (n_nodes, labels, dims[n]))
     return CorrectionBlocks(order=0, grid=cs.grid, dims=dims, labels=labels,
                             blocks=blocks)
 
