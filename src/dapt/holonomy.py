@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import transport_steps
 from .errors import DimensionMismatch, NonUnitaryInitial, NotGroundStart
 from .grid import Grid
 from .linalg import ordered_product, unitary_deviation, unitary_expm
@@ -68,16 +69,16 @@ def transport_all(cs, steps: list = None) -> list:
     """Wilczek-Zee transport from the identity for every level of a
     CouplingSet.
 
-    ``steps`` are the levels' midpoint exponentials when they are already
-    computed (engine.transport_steps); their first factors are chained as
-    wz_transport would chain its own, so the result is the same.
+    Each level's midpoint exponentials (engine.transport_steps, computed
+    here unless ``steps`` passes them in) are chained as wz_transport
+    chains its own.
     """
     if steps is None:
-        us = [wz_transport(cs.a(n, n), cs.grid) for n in range(cs.n_levels)]
-    else:
-        us = [ordered_product(full, np.eye(full.shape[1], dtype=complex))
-              for full, _ in steps]
-    return [HolonomyPath(level=n, grid=cs.grid, u=u) for n, u in enumerate(us)]
+        steps = transport_steps(cs)
+    return [HolonomyPath(level=n, grid=cs.grid,
+                         u=ordered_product(full, np.eye(full.shape[1],
+                                                        dtype=complex)))
+            for n, (full, _) in enumerate(steps)]
 
 
 @dataclass(frozen=True)

@@ -255,8 +255,13 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
         raise InsufficientSweep("sweep must span at least one decade")
     vs = sorted(vs)
     # a point's array work releases the GIL, so threads beyond the cores
-    # add no speed, only another point's temporaries held at once
-    workers = min(8, os.cpu_count() or 1, len(vs))
+    # this process may run on add no speed, only another point's
+    # temporaries held at once
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    workers = min(8, cores, len(vs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(lambda v: _sweep_point(ws, v, threshold), vs))
     fits = []

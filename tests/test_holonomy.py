@@ -125,6 +125,8 @@ def test_transport_all_levels(gamma):
     hols = transport_all(cs)
     assert [h.level for h in hols] == [0, 1]
     assert all(isinstance(h, HolonomyPath) for h in hols)
-    # the workspace's shared midpoint exponentials give the same transport
+    # chaining the shared midpoint exponentials is wz_transport, bit for bit
+    assert all(np.array_equal(h.u, wz_transport(cs.a(n, n), g))
+               for n, h in enumerate(hols))
     shared = transport_all(cs, transport_steps(cs))
     assert all(np.array_equal(a.u, b.u) for a, b in zip(hols, shared))
