@@ -22,6 +22,7 @@ from .grid import Grid
 from .linalg import hermitian_part
 
 FLOAT_FMT = "%.17g"
+CHUNK_BYTES = 1 << 18
 
 
 def _fmt(x: float) -> str:
@@ -66,9 +67,77 @@ def read_hamiltonian(path):
         raise ConfigError(f"{path}: dimension must be at least 1, got {dim}")
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
-    s = np.empty(n)
-    samples = np.empty((n, dim, dim), dtype=complex)
-    for k, line in enumerate(lines[1:]):
+    s, samples = _read_pairs(lines[1:], dim) \
+        or _scan_tokens(path, lines[1:], dim)
+    try:
+        grid = Grid(s=s)
+    except Exception as exc:
+        raise ConfigError(f"{path}: bad grid: {exc}") from None
+    try:
+        return grid, hermitian_part(samples)
+    except NonHermitianInput as exc:
+        raise NonHermitianInput(f"{path}: {exc}") from None
+
+
+def _read_pairs(lines, dim):
+    """One conversion per chunk of node lines into (s, samples); None
+    unless every line reads exactly '<s> <re>,<im> ...' with dim * dim
+    pairs (ASCII) and every value converts, so that anything else takes
+    _scan_tokens. Chunks of about CHUNK_BYTES keep the temporaries of the
+    conversion small beside the lines themselves."""
+    if not lines:
+        return None
+    pairs = dim * dim
+    s = np.empty(len(lines))
+    samples = np.empty((len(lines), dim, dim), dtype=complex)
+    step = max(1, CHUNK_BYTES // (len(lines[0]) + 1))
+    for lo in range(0, len(lines), step):
+        chunk = lines[lo:lo + step]
+        text = "\n".join(chunk)
+        if not _pairs_layout(text, len(chunk), pairs):
+            return None
+        try:
+            values = np.loadtxt(text.replace(",", " ").split("\n"),
+                                dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if values.shape != (len(chunk), 1 + 2 * pairs):
+            return None
+        s[lo:lo + step] = values[:, 0]
+        samples.real[lo:lo + step] = values[:, 1::2].reshape(-1, dim, dim)
+        samples.imag[lo:lo + step] = values[:, 2::2].reshape(-1, dim, dim)
+    return s, samples
+
+
+def _pairs_layout(text, n_lines, pairs):
+    """True when ``text`` is ``n_lines`` lines of '<s> <re>,<im> ...' with
+    ``pairs`` pairs, checked on its ASCII bytes: each comma stands between
+    two value characters, and the separators of a line alternate
+    whitespace, comma, ..., ending on a comma. A token with two commas,
+    none, or an empty part next to one fails; it is not reinterpreted."""
+    try:
+        u = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return False
+    comma = u == ord(",")
+    # the ASCII whitespace of str.split: \t-\r, \x1c-\x1f and the space
+    sep = comma | (u == 32) | ((u >= 9) & (u <= 13)) | ((u >= 28) & (u <= 31))
+    at = np.flatnonzero(comma)
+    if at.size != n_lines * pairs or at[0] == 0 or at[-1] == u.size - 1 \
+            or sep[at - 1].any() or sep[at + 1].any():
+        return False
+    kinds = comma[np.flatnonzero(sep[1:] & ~sep[:-1]) + 1]
+    line = np.r_[np.tile([False, True], pairs), False]
+    return np.array_equal(kinds, np.tile(line, n_lines)[:-1])
+
+
+def _scan_tokens(path, lines, dim):
+    """Token-by-token parse of the node lines. It reads a bare real token
+    as a complex value with zero imaginary part, and raises ConfigError
+    naming the first bad node."""
+    s = np.empty(len(lines))
+    samples = np.empty((len(lines), dim, dim), dtype=complex)
+    for k, line in enumerate(lines):
         toks = line.split()
         if len(toks) != 1 + dim * dim:
             raise ConfigError(f"{path}: node {k}: expected {1 + dim * dim} "
@@ -79,14 +148,7 @@ def read_hamiltonian(path):
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: node {k}: {exc}") from None
         samples[k] = np.array(flat).reshape(dim, dim)
-    try:
-        grid = Grid(s=s)
-    except Exception as exc:
-        raise ConfigError(f"{path}: bad grid: {exc}") from None
-    try:
-        return grid, hermitian_part(samples)
-    except NonHermitianInput as exc:
-        raise NonHermitianInput(f"{path}: {exc}") from None
+    return s, samples
 
 
 def write_csv(path, columns) -> None:

@@ -1,4 +1,6 @@
 """Small dense linear-algebra helpers for unitary transport."""
+import math
+
 import numpy as np
 
 from .errors import NonHermitianInput, NotAntiHermitian
@@ -38,13 +40,38 @@ def ordered_product(factors: np.ndarray, start: np.ndarray,
     shifts[k] when shifts are given (an affine recurrence). ``factors``
     has shape (n - 1, d, d), ``start`` (r, d) and ``shifts`` (n - 1, r, d);
     the result has shape (n, r, d). Every node-to-node recurrence of the
-    package goes through this one loop.
+    package goes through this one function.
+
+    A two-level blocked scan (Blelloch 1990) of the m = n - 1 factors in
+    blocks of b = isqrt(m), in about 3 sqrt(m) batched NumPy steps:
+    (1) every block but the last is reduced to its affine map
+    x -> x T_j + Q_j, all blocks at once, one position per step; (2) the
+    block starts are chained, c_{j+1} = c_j T_j + Q_j; (3) the recurrence
+    is run again inside every block at once, from its start, straight into
+    the result. The last block, possibly short, needs no map, and the
+    strided slices of step (3) end at the last factor, so nothing is padded
+    or copied: the only temporaries are the (blocks, d, d) maps. The
+    result agrees with the node-by-node recurrence to roundoff, not bit
+    for bit.
     """
-    x = np.empty((factors.shape[0] + 1,) + start.shape,
-                 dtype=np.result_type(factors, start))
+    m = factors.shape[0]
+    x = np.empty((m + 1,) + start.shape, dtype=np.result_type(factors, start))
     x[0] = start
-    for k, f in enumerate(factors):
-        x[k + 1] = x[k] @ f if shifts is None else x[k] @ f + shifts[k]
+    b = max(1, math.isqrt(m))
+    last = max(m - 1, 0) // b * b          # first factor of the last block
+    t = factors[0:last:b]
+    q = None if shifts is None else shifts[0:last:b]
+    for i in range(1, b):
+        f = factors[i:last:b]
+        t = t @ f
+        if q is not None:
+            q = q @ f + shifts[i:last:b]
+    for j in range(len(t)):
+        c = x[j * b] @ t[j]
+        x[(j + 1) * b] = c if q is None else c + q[j]
+    for i in range(b):
+        y = x[i:m:b] @ factors[i::b]
+        x[i + 1::b] = y if shifts is None else y + shifts[i::b]
     return x
 
 

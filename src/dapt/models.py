@@ -158,9 +158,13 @@ class GammaModel:
         c11 = ep.conj() * st * ((1 + ct) / 2 * b_m - (1 - ct) / 2 * b_p)
         return np.stack([c00, c01, c10, c11], axis=-1)
 
-    def exact_state(self, s, velocity: float) -> np.ndarray:
+    def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
+        """Exact state started in |0^0(0)>, shape (..., 4). ``frames`` may
+        pass frames(s) when the caller already holds them."""
         c = self.exact_coefficients(s, velocity)
-        return np.einsum("...ij,...j->...i", self.frames(s), c)
+        if frames is None:
+            frames = self.frames(s)
+        return np.einsum("...ij,...j->...i", frames, c)
 
     def daa_coefficients(self, s, velocity: float) -> np.ndarray:
         """Order-0 snapshot coefficients for the |0^0(0)> start, (..., 4)."""
@@ -273,8 +277,11 @@ class SpinHalfModel:
         return [HolonomyPath(level=n, grid=grid,
                              u=self.holonomy_phase(grid.s, n)) for n in (0, 1)]
 
-    def exact_state(self, s, velocity: float) -> np.ndarray:
-        """Rotating-frame Rabi solution for the ground start, shape (..., 2)."""
+    def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
+        """Rotating-frame Rabi solution for the ground start, shape (..., 2).
+
+        It is written in the lab basis, so ``frames`` (accepted as for
+        GammaModel.exact_state) is not read."""
         w = 2.0 * np.pi * velocity
         t = np.asarray(s, dtype=float) / velocity
         b, theta = self.gap, self.cone_angle

@@ -133,7 +133,9 @@ class Workspace:
         """
         if self.model is not None and hasattr(self.model, "exact_state") \
                 and label == 0:
-            return self.model.exact_state(self.grid.s, velocity), 0.0, 0
+            # the stored snapshot basis spares the closed form its frames
+            return self.model.exact_state(self.grid.s, velocity,
+                                          frames=self.path.basis()), 0.0, 0
         h = self.model.hamiltonian if self.model is not None else self.samples
         if substeps is None:
             # max |E| is read off the stored energies, not re-diagonalized

@@ -8,6 +8,7 @@ import pytest
 from dapt import (ConfigError, Grid, NonHermitianInput, hamiltonian_samples,
                   read_csv, read_hamiltonian, write_csv, write_hamiltonian,
                   write_summary)
+from dapt.linalg import hermitian_part
 
 
 @pytest.fixture()
@@ -74,6 +75,76 @@ def test_non_hermitian_file_rejected(tmp_path):
                     "1 0,0 1,0 0,0 0,0\n")
     with pytest.raises(NonHermitianInput):
         read_hamiltonian(path)
+
+
+def _read_hamiltonian_reference(path):
+    """Token-by-token parser, kept as the reference for the one-pass
+    conversion of read_hamiltonian."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    dim, n = (int(t) for t in lines[0].split())
+    s = np.empty(n)
+    samples = np.empty((n, dim, dim), dtype=complex)
+    for k, line in enumerate(lines[1:]):
+        toks = line.split()
+        s[k] = float(toks[0])
+        flat = [complex(*map(float, t.split(","))) for t in toks[1:]]
+        samples[k] = np.array(flat).reshape(dim, dim)
+    return Grid(s=s), hermitian_part(samples)
+
+
+# Hermitian 2x2 nodes: exponent forms, -0.0, 1e-300 and 1e300; node lines
+# separated by tabs and runs of spaces, with comments and blank lines
+ODD_NODES = [
+    "0 1e300,0 -2.5E-3,1e-300 -2.5e-3,-1E-300 -0.0,-0.0",
+    "0.25\t+1.25e+2,0.0  3,-4 3,4\t-1e300,0",
+    "0.5 -0.0,0 1e-300,-1e-300 1E-300,1E-300 7.0e0,0",
+    "0.75 .5,0 5.,-.25 5.,.25 -1,-0",
+    "1 2,0 0,1 0,-1 -2,0",
+]
+
+
+def _write_nodes(path, nodes):
+    path.write_text("# odd but valid\n\n2 5\n" + "\n# mid\n\n".join(nodes)
+                    + "\n")
+
+
+def test_one_pass_parse_matches_token_parser(tmp_path, monkeypatch):
+    import dapt.hamio as hamio
+    scans = []
+    scan = hamio._scan_tokens
+    monkeypatch.setattr(hamio, "_scan_tokens",
+                        lambda *a: scans.append(1) or scan(*a))
+    bare = list(ODD_NODES)
+    bare[2] = bare[2].replace("7.0e0,0", "7")     # a bare real token
+    for name, nodes, scanned in (("pairs.txt", ODD_NODES, 0),
+                                 ("bare.txt", bare, 1)):
+        path = tmp_path / name
+        _write_nodes(path, nodes)
+        grid, samples = read_hamiltonian(path)
+        ref_grid, ref_samples = _read_hamiltonian_reference(path)
+        assert grid.s.tobytes() == ref_grid.s.tobytes()
+        assert samples.tobytes() == ref_samples.tobytes()
+        # the pair-only file takes the one conversion, the bare token the
+        # token-by-token scan
+        assert len(scans) == scanned
+    assert samples[2, 1, 1] == 7.0
+
+
+@pytest.mark.parametrize("bad", ["1,x", "1,2,3", "1,,2", "1,", ",1", "1, 2"])
+def test_bad_token_names_its_node(tmp_path, bad):
+    nodes = list(ODD_NODES)
+    nodes[3] = nodes[3].replace("5.,-.25", bad)
+    # a token with two commas beside a bare one keeps the value count
+    # right; it is still an error, not a reinterpretation
+    shifted = list(ODD_NODES)
+    shifted[3] = "0.75 .5,0,5. -.25 5.,.25 -1,-0"
+    for lines in (nodes, shifted):
+        path = tmp_path / "bad.txt"
+        _write_nodes(path, lines)
+        with pytest.raises(ConfigError, match="node 3:"):
+            read_hamiltonian(path)
 
 
 def test_csv_round_trip(tmp_path):

@@ -115,3 +115,53 @@ def test_ordered_product_affine_recurrence():
     start = rng.normal(size=(1, 2))
     x = ordered_product(f, start)
     assert np.abs(x[-1] - start @ f[0] @ f[1] @ f[2]).max() < 1e-13
+
+
+def _ordered_product_loop(factors, start, shifts=None):
+    """The node-by-node recurrence, kept as the reference for the blocked
+    scan."""
+    x = np.empty((factors.shape[0] + 1,) + start.shape,
+                 dtype=np.result_type(factors, start))
+    x[0] = start
+    for k, f in enumerate(factors):
+        x[k + 1] = x[k] @ f if shifts is None else x[k] @ f + shifts[k]
+    return x
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 10, 97, 2000, 16000])
+def test_ordered_product_matches_loop(m):
+    # perfect squares, squares +- 1, a prime and the bench size; the scan
+    # reorders the products, so agreement is to roundoff, set from the
+    # dtype before measuring
+    rng = np.random.default_rng(m)
+    d = 3
+    unitary, _ = np.linalg.qr(_complex(rng, m, d, d))
+    cases = [
+        (unitary, _complex(rng, 2, d), None),                  # r < d
+        (unitary, np.eye(d, dtype=complex), 1e-2 * _complex(rng, m, d, d)),
+        # real factors, complex start: the dtype follows np.result_type
+        (rng.normal(size=(m, d, d)) / np.sqrt(d), _complex(rng, 1, d),
+         rng.normal(size=(m, 1, d))),
+        # non-unitary factors
+        ((1.0 + 1e-4) * unitary, rng.normal(size=(d, d)), None),
+        # read-only broadcast inputs
+        (np.broadcast_to(unitary[0], (m, d, d)),
+         np.broadcast_to(_complex(rng, d), (2, d)),
+         np.broadcast_to(_complex(rng, 2, d), (m, 2, d))),
+    ]
+    for factors, start, shifts in cases:
+        inputs = [a for a in (factors, start, shifts) if a is not None]
+        before = [a.copy() for a in inputs]
+        want = _ordered_product_loop(factors, start, shifts)
+        got = ordered_product(factors, start, shifts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.dtype == np.result_type(factors, start)
+        assert np.array_equal(got[0], start)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)

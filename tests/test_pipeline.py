@@ -60,6 +60,21 @@ def test_exact_uses_model_closed_form(gamma, ws_gamma):
     assert np.abs(psi - gamma.exact_state(ws_gamma.grid.s, vel(0.05))).max() == 0.0
 
 
+def test_exact_reads_stored_frames(gamma, spin, ws_gamma, monkeypatch):
+    # the closed form takes the workspace's snapshot basis instead of
+    # rebuilding the frames at every velocity; the spin-1/2 route still runs
+    ws_spin = Workspace.build(model=spin, grid=Grid.uniform(201), order=1)
+    want = spin.exact_state(ws_spin.grid.s, vel(0.05))
+    calls = []
+    for cls in (type(gamma), type(spin)):
+        frames = cls.frames
+        monkeypatch.setattr(cls, "frames", lambda self, s, f=frames:
+                            calls.append(1) or f(self, s))
+    ws_gamma.exact(vel(0.05))
+    assert np.array_equal(ws_spin.exact(vel(0.05))[0], want)
+    assert calls == []
+
+
 def test_file_route_agrees_with_model_route(gamma, ws_gamma, grid801):
     samples = hamiltonian_samples(gamma.hamiltonian, grid801)
     ws_file = Workspace.build(samples=samples, grid=grid801, order=1)
