@@ -47,6 +47,40 @@ DEFAULTS = {
 }
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
+_INTEGER = ("an integer", lambda x: isinstance(x, int)
+            and not isinstance(x, bool))
+_REAL = ("a finite real number", _is_real)
+_TEXT = ("a string", lambda x: isinstance(x, str))
+
+# the type every key must have; null is allowed only where the default is
+KINDS = {
+    "model": _TEXT,
+    "hamiltonian_file": _TEXT,
+    "b": _REAL,
+    "theta": _REAL,
+    "w": _REAL,
+    "v": _REAL,
+    "grid_n": _INTEGER,
+    "order": _INTEGER,
+    "degeneracy_tol": _REAL,
+    "gap_floor": _REAL,
+    "threshold": _REAL,
+    "substeps": _INTEGER,
+    "numeric_transport": ("a boolean", lambda x: isinstance(x, bool)),
+    "v_list": ("a string or a list of numbers",
+               lambda x: isinstance(x, str)
+               or isinstance(x, list) and all(map(_is_real, x))),
+    "input": _TEXT,
+    "out_csv": _TEXT,
+    "out_json": _TEXT,
+}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
@@ -67,6 +101,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(cfg: dict) -> dict:
+    for key, (kind, ok) in KINDS.items():
+        val = cfg[key]
+        if not (ok(val) or val is None and DEFAULTS[key] is None):
+            raise ConfigError(f"{key} must be {kind}, got {val!r}")
     if cfg["model"] not in ("gamma", "spin-half"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
     if cfg["b"] <= 0.0 or cfg["w"] <= 0.0:
@@ -83,8 +121,6 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("v must be positive")
     if cfg["substeps"] is not None and cfg["substeps"] < 1:
         raise ConfigError("substeps must be at least 1")
-    if not isinstance(cfg["numeric_transport"], bool):
-        raise ConfigError("numeric_transport must be a boolean")
     return cfg
 
 

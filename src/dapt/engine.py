@@ -4,6 +4,9 @@ Units: hbar = 1. The expansion parameter is the sweep velocity v = 1/t_final;
 states are reconstructed as psi = sum_p v^p psi^(p). Correction blocks are
 stored velocity-free, so one block computation serves a whole v-sweep;
 velocity enters only through the dynamical phase factors at assembly time.
+Each order's off-diagonal blocks are algebraic in the previous order's; its
+diagonal blocks are one cumulative quadrature against the workspace's
+holonomies, so the recursion runs no transport of its own.
 
 Block layout: B^(p)[(m, n)] has shape (n_nodes, labels, d_n). The column
 axis is ragged (level n's degeneracy); the row axis is the tracked
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import BadInitialCondition, DimensionMismatch
 from .grid import Grid, central_derivative, cumulative_quadrature
-from .linalg import ordered_product, unitary_expm
+from .linalg import unitary_expm
 from .spectral import SpectralPath, level_slices
 
 
@@ -138,35 +141,31 @@ def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
 
 
 def transport_steps(cs) -> list:
-    """Midpoint exponentials of every level's transport generator.
-
-    Entry n is the pair (expm(h A_mid), expm(h A_mid / 2)) over the grid
-    intervals, A_mid the average of adjacent samples of cs.a(n, n), both
-    from one eigendecomposition. They depend on neither the order nor the
-    velocity: Workspace.build computes them once, transport_all chains the
-    first and advance_order uses both at every order.
+    """Midpoint exponentials expm(h A_mid) of every level's transport
+    generator over the grid intervals, A_mid the average of adjacent
+    samples of cs.a(n, n). transport_all chains them into the numeric
+    holonomies.
     """
     h = cs.grid.h
-    steps = []
-    for n in range(cs.n_levels):
-        a = cs.a(n, n)
-        full, half = unitary_expm(0.5 * (a[:-1] + a[1:]), (h, h / 2.0))
-        steps.append((full, half))
-    return steps
+    return [unitary_expm(0.5 * (a[:-1] + a[1:]), h)
+            for a in (cs.a(n, n) for n in range(cs.n_levels))]
 
 
-def advance_order(blocks: CorrectionBlocks, cs, steps: list) -> CorrectionBlocks:
+def advance_order(blocks: CorrectionBlocks, cs,
+                  holonomies: list) -> CorrectionBlocks:
     """Raise the expansion order p -> p + 1.
 
     Off-diagonal blocks are algebraic:
         B'_{mn} = (-i / Delta_mn) (dB_{mn}/ds + sum_k B_{mk} R^{kn}),
     with R the recursion coupling (transposed plain coupling). Diagonal
     blocks satisfy dB'_{nn}/ds = B'_{nn} A^{nn} - G_n with
-    G_n = sum_{k != n} B'_{nk} R^{kn}, integrated by the same midpoint
-    exponential stepping as wz_transport (so a zero-source diagonal block
-    reproduces the holonomy exactly), starting from the s = 0 matching
-    value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0). ``steps`` are the levels'
-    midpoint exponentials from transport_steps.
+    G_n = sum_{k != n} B'_{nk} R^{kn}, whose solution is the level's
+    holonomy U = holonomies[n].u times an integrated source:
+        B'_{nn}(s) = (B'_{nn}(0) U(0)^dag - int_0^s G_n U^dag ds') U(s),
+    from the s = 0 matching value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0).
+    A zero-source diagonal block is the holonomy itself, so whatever
+    accuracy the holonomies carry (closed form or transported) reaches
+    every order.
     """
     levels = range(cs.n_levels)
     new = {}
@@ -180,16 +179,16 @@ def advance_order(blocks: CorrectionBlocks, cs, steps: list) -> CorrectionBlocks
             delta = cs.gap(m, n)[:, None, None]
             new[(m, n)] = (-1j / delta) * source
 
-    h = cs.grid.h
     for n in levels:
         # zero-array sum starts keep a single-level path (no sources) working
         zero = np.zeros(blocks.block(n, n).shape, dtype=complex)
         g = sum((new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n),
                 zero)
-        full, half = steps[n]
-        g_mid = 0.5 * (g[:-1] + g[1:])
         start = -sum((new[(m, n)][0] for m in levels if m != n), zero[0])
-        new[(n, n)] = ordered_product(full, start, -h * g_mid @ half)
+        u = holonomies[n].u
+        u_dag = np.swapaxes(u, 1, 2).conj()
+        new[(n, n)] = (start @ u_dag[0]
+                       - cumulative_quadrature(g @ u_dag, cs.grid)) @ u
     return CorrectionBlocks(order=blocks.order + 1, grid=blocks.grid,
                             dims=blocks.dims, labels=blocks.labels, blocks=new)
 

@@ -65,20 +65,16 @@ def wz_transport(a_nn: np.ndarray, grid: Grid,
     return ordered_product(unitary_expm(mids, grid.h), u0)
 
 
-def transport_all(cs, steps: list = None) -> list:
+def transport_all(cs) -> list:
     """Wilczek-Zee transport from the identity for every level of a
-    CouplingSet.
-
-    Each level's midpoint exponentials (engine.transport_steps, computed
-    here unless ``steps`` passes them in) are chained as wz_transport
-    chains its own.
+    CouplingSet: each level's midpoint exponentials
+    (engine.transport_steps) chained as wz_transport chains its own, so
+    the two agree bit for bit.
     """
-    if steps is None:
-        steps = transport_steps(cs)
     return [HolonomyPath(level=n, grid=cs.grid,
                          u=ordered_product(full, np.eye(full.shape[1],
                                                         dtype=complex)))
-            for n, (full, _) in enumerate(steps)]
+            for n, full in enumerate(transport_steps(cs))]
 
 
 @dataclass(frozen=True)

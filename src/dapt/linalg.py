@@ -32,27 +32,24 @@ def unitary_deviation(u: np.ndarray) -> float:
     return float(np.abs(np.swapaxes(u, -1, -2).conj() @ u - eye).max())
 
 
-def ordered_product(factors: np.ndarray, start: np.ndarray,
-                    shifts: np.ndarray = None) -> np.ndarray:
+def ordered_product(factors: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Ordered product along the grid, later factors on the right.
 
-    Returns x with x[0] = start and x[k+1] = x[k] @ factors[k], plus
-    shifts[k] when shifts are given (an affine recurrence). ``factors``
-    has shape (n - 1, d, d), ``start`` (r, d) and ``shifts`` (n - 1, r, d);
-    the result has shape (n, r, d). Every node-to-node recurrence of the
-    package goes through this one function.
+    Returns x with x[0] = start and x[k+1] = x[k] @ factors[k].
+    ``factors`` has shape (n - 1, d, d) and ``start`` (r, d); the result
+    has shape (n, r, d). Every node-to-node product of the package goes
+    through this one function.
 
     A two-level blocked scan (Blelloch 1990) of the m = n - 1 factors in
     blocks of b = isqrt(m), in about 3 sqrt(m) batched NumPy steps:
-    (1) every block but the last is reduced to its affine map
-    x -> x T_j + Q_j, all blocks at once, one position per step; (2) the
-    block starts are chained, c_{j+1} = c_j T_j + Q_j; (3) the recurrence
-    is run again inside every block at once, from its start, straight into
-    the result. The last block, possibly short, needs no map, and the
-    strided slices of step (3) end at the last factor, so nothing is padded
-    or copied: the only temporaries are the (blocks, d, d) maps. The
-    result agrees with the node-by-node recurrence to roundoff, not bit
-    for bit.
+    (1) every block but the last is reduced to its product T_j, all blocks
+    at once, one position per step; (2) the block starts are chained,
+    c_{j+1} = c_j T_j; (3) the recurrence is run again inside every block
+    at once, from its start, straight into the result. The last block,
+    possibly short, needs no product, and the strided slices of step (3)
+    end at the last factor, so nothing is padded or copied: the only
+    temporaries are the (blocks, d, d) products. The result agrees with
+    the node-by-node recurrence to roundoff, not bit for bit.
     """
     m = factors.shape[0]
     x = np.empty((m + 1,) + start.shape, dtype=np.result_type(factors, start))
@@ -60,27 +57,18 @@ def ordered_product(factors: np.ndarray, start: np.ndarray,
     b = max(1, math.isqrt(m))
     last = max(m - 1, 0) // b * b          # first factor of the last block
     t = factors[0:last:b]
-    q = None if shifts is None else shifts[0:last:b]
     for i in range(1, b):
-        f = factors[i:last:b]
-        t = t @ f
-        if q is not None:
-            q = q @ f + shifts[i:last:b]
+        t = t @ factors[i:last:b]
     for j in range(len(t)):
-        c = x[j * b] @ t[j]
-        x[(j + 1) * b] = c if q is None else c + q[j]
+        x[(j + 1) * b] = x[j * b] @ t[j]
     for i in range(b):
-        y = x[i:m:b] @ factors[i::b]
-        x[i + 1::b] = y if shifts is None else y + shifts[i::b]
+        x[i + 1::b] = x[i:m:b] @ factors[i::b]
     return x
 
 
-def unitary_expm(a: np.ndarray, dt=1.0, atol: float = 1e-3) -> np.ndarray:
+def unitary_expm(a: np.ndarray, dt: float = 1.0,
+                 atol: float = 1e-3) -> np.ndarray:
     """exp(a * dt) for anti-Hermitian a (batched on leading axes).
-
-    ``dt`` is one step or an array of steps; every step is exponentiated
-    from the same eigendecomposition, and the result carries dt's shape in
-    front of a's.
 
     The generator is projected onto its anti-Hermitian part before
     exponentiating: finite-difference-sourced connections carry a spurious
@@ -94,6 +82,5 @@ def unitary_expm(a: np.ndarray, dt=1.0, atol: float = 1e-3) -> np.ndarray:
     if dev > atol:
         raise NotAntiHermitian(f"generator deviates from anti-Hermitian by {dev:.3e}")
     lam, v = np.linalg.eigh(0.5j * (a - a_dag))
-    dt = np.asarray(dt, dtype=float)
-    phase = np.exp(-1j * lam * dt.reshape(dt.shape + (1,) * lam.ndim))
+    phase = np.exp(-1j * lam * dt)
     return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())

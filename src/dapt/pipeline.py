@@ -2,11 +2,12 @@
 
 Workspace.build computes everything that is independent of the sweep
 velocity, once: the spectral path and its snapshot basis, the couplings,
-one eigendecomposition per level of the transport generator (shared by the
-holonomies and every order's diagonal blocks), the holonomies, the phase
-integrals omega_n(s), the correction blocks of every order, and the
+the holonomies (the model's closed form, or the numeric transport), the
+phase integrals omega_n(s), the correction blocks of every order (whose
+diagonal blocks are quadratures against those holonomies), and the
 first-order blocks of the label-0 ground start that the validity margins
-read (their J-integral quadratures included).
+read (their J-integral quadratures included). The closed-form route runs
+no transport at all.
 
 A velocity point then computes only the phase factors exp(-i omega_n / v),
 one per level, and phase-weighted sums of stored blocks: in a sweep, each
@@ -26,7 +27,7 @@ from .couplings import couplings_from_path
 from .engine import (CorrectionBlocks, DynamicalPhase, StateFamily,
                      ValidityReport, advance_order, assemble_state,
                      first_order_blocks, ground_amplitudes, series_state,
-                     transport_steps, validity_margins, zero_order_blocks)
+                     validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
 from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
@@ -74,20 +75,17 @@ class Workspace:
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
             cs = couplings_from_path(path, h=samples, gap_floor=gap_floor)
-        closed_form = model_holonomy and model is not None \
-            and hasattr(model, "holonomies")
-        # the transport and every order > 0 share these; nothing else reads them
-        steps = transport_steps(cs) if order > 0 or not closed_form else []
-        if closed_form:
+        if model_holonomy and model is not None \
+                and hasattr(model, "holonomies"):
             holonomies = model.holonomies(grid)
         else:
-            holonomies = transport_all(cs, steps)
+            holonomies = transport_all(cs)
         phases = DynamicalPhase.from_path(path)
         ground = ground_amplitudes(path.n_levels)
         margin_blocks = first_order_blocks(cs, holonomies, ground).label_row(0)
         blocks = [zero_order_blocks(cs, holonomies, ground)]
         for _ in range(order):
-            blocks.append(advance_order(blocks[-1], cs, steps))
+            blocks.append(advance_order(blocks[-1], cs, holonomies))
         return cls(grid=grid, path=path, couplings=cs, holonomies=holonomies,
                    phases=phases, blocks=blocks, margin_blocks=margin_blocks,
                    order=order, model=model, samples=samples)

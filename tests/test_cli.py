@@ -175,13 +175,35 @@ def test_degeneracy_change_exit_code(in_tmp):
     assert run("dapt", "--hamiltonian-file", "deg.txt") == 4
 
 
-def test_bad_config_files(in_tmp):
+def test_bad_config_files(in_tmp, capsys):
     bad = in_tmp / "bad.json"
     bad.write_text("{not json")
     assert run("evolve", "--config", str(bad)) == 2
     unknown = in_tmp / "unk.json"
     unknown.write_text(json.dumps({"mystery": 1}))
     assert run("evolve", "--config", str(unknown)) == 2
+    # a wrong-typed value is a configuration error naming its key; null is
+    # accepted only where the default is null
+    typed = in_tmp / "typed.json"
+    for command, cfg in [
+        ("evolve", {"order": 2.0}),
+        ("evolve", {"order": True}),
+        ("evolve", {"grid_n": "2001"}),
+        ("evolve", {"grid_n": 101.5}),
+        ("evolve", {"b": "x"}),
+        ("evolve", {"b": True}),
+        ("evolve", {"degeneracy_tol": "1e-8"}),
+        ("evolve", {"threshold": None}),
+        ("evolve", {"model": None}),
+        ("evolve", {"hamiltonian_file": 3}),
+        ("evolve", {"substeps": 2.5}),
+        ("sweep", {"v_list": [0.01, 0.02, 0.05, "x"]}),
+        ("sweep", {"v_list": 0.01}),
+    ]:
+        typed.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(command, "--config", str(typed)) == 2, cfg
+        assert next(iter(cfg)) in capsys.readouterr().err, cfg
 
 
 def test_version_flag():

@@ -1,9 +1,15 @@
 """Series engine: phases, blocks, order recursion, margins."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
-                  check_amplitudes, couplings_via_frame_derivatives, daa_state,
+                  advance_order, check_amplitudes,
+                  couplings_via_frame_derivatives, daa_state,
                   first_order_blocks, first_order_state, ground_amplitudes,
                   j_integral, series_state, smooth_gauge,
                   snapshot_eigensystem, transport_all, validity_margins,
@@ -73,6 +79,75 @@ def test_first_order_routes_agree(ws_gamma):
                                ws_gamma.phases, ground_amplitudes(2),
                                v).coefficients
     assert np.abs(via_recursion - direct).max() < 2e-5
+
+
+@pytest.mark.parametrize("n", [801, 2001])
+def test_recursion_reads_closed_form_holonomy(gamma, n):
+    # the diagonal blocks are quadratures against the workspace's own
+    # holonomies, so on the closed-form route order 1 carries no transport
+    # error and agrees with the closed-form first-order blocks to roundoff
+    ws = Workspace.build(model=gamma, grid=Grid.uniform(n), order=1)
+    v = vel(0.01)
+    direct = first_order_state(ws.couplings, ws.holonomies, ws.phases,
+                               ground_amplitudes(2), v).coefficients
+    assert np.abs(ws.term(1, v).coefficients - direct).max() < 1e-10
+
+
+def _midpoint_advance(blocks, cs):
+    """The recurrence the quadrature replaced, as a plain node loop:
+    advance_order's algebraic off-diagonal blocks, and each diagonal block
+    stepped as x[k+1] = x[k] E_k - h G_mid,k E_k^(1/2), with
+    E_k = expm(h A_mid,k) and G_mid,k the average of adjacent sources."""
+    new = dict(advance_order(blocks, cs, transport_all(cs)).blocks)
+    h = cs.grid.h
+    levels = range(cs.n_levels)
+    for n in levels:
+        a = cs.a(n, n)
+        mids = 0.5 * (a[:-1] + a[1:])
+        full, half = expm(h * mids), expm(0.5 * h * mids)
+        g = sum(new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n)
+        x = np.empty_like(new[(n, n)])
+        x[0] = -sum(new[(m, n)][0] for m in levels if m != n)
+        for k in range(cs.grid.n - 1):
+            x[k + 1] = x[k] @ full[k] - h * 0.5 * (g[k] + g[k + 1]) @ half[k]
+        new[(n, n)] = x
+    return replace(blocks, order=blocks.order + 1, blocks=new)
+
+
+def _diagonal_gap(ws):
+    """Relative sup difference of the diagonal blocks of orders 1 and 2
+    between ws and the midpoint recurrence run from ws's order-0 blocks."""
+    out = []
+    ref = ws.blocks[0]
+    for p in (1, 2):
+        ref = _midpoint_advance(ref, ws.couplings)
+        diag = [(ws.blocks[p].block(n, n), ref.block(n, n))
+                for n in range(ws.path.n_levels)]
+        scale = max(np.abs(b).max() for _, b in diag)
+        out.append(max(np.abs(a - b).max() for a, b in diag) / scale)
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def midpoint_gaps(gamma, ragged):
+    out = {}
+    for n in (401, 801):
+        g = Grid.uniform(n)
+        out[("gamma", n)] = _diagonal_gap(Workspace.build(
+            model=gamma, grid=g, order=2, model_holonomy=False))
+        out[("ragged", n)] = _diagonal_gap(Workspace.build(
+            samples=ragged(g), grid=g, order=2))
+    return out
+
+
+@pytest.mark.parametrize("route", ["gamma", "ragged"])
+def test_diagonal_blocks_match_midpoint_recurrence(midpoint_gaps, route):
+    # both are second-order rules for the same transport-plus-source
+    # equation on the same transported holonomy, so orders 1 and 2 agree
+    # to O(h^2)
+    coarse, fine = midpoint_gaps[(route, 401)], midpoint_gaps[(route, 801)]
+    assert (fine <= 1e-5).all()
+    assert (coarse / fine >= 3.0).all()
 
 
 def test_first_order_matches_closed_form(gamma, ws_gamma):

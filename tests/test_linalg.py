@@ -47,11 +47,6 @@ def test_expm_batched_matches_per_slice():
     batch = unitary_expm(a, dt=0.3)
     for k in range(5):
         assert np.abs(batch[k] - unitary_expm(a[k], dt=0.3)).max() < 1e-13
-    # an array of steps shares one eigendecomposition: the same bits as
-    # one call per step
-    full, half = unitary_expm(a, dt=(0.3, 0.15))
-    assert np.array_equal(full, batch)
-    assert np.array_equal(half, unitary_expm(a, dt=0.15))
 
 
 def test_expm_projects_discretization_noise():
@@ -99,17 +94,7 @@ def test_unitary_predicates():
     assert unitary_deviation(1.01 * q) > 1e-3
 
 
-def test_ordered_product_affine_recurrence():
-    # scalar recurrence x_{k+1} = a x_k + c has the closed form
-    # x_k = a^k x_0 + c (1 - a^k) / (1 - a)
-    a, c, x0 = np.exp(0.3j), 0.2 - 0.1j, 1.5 + 0.5j
-    k = np.arange(40)
-    x = ordered_product(np.full((39, 1, 1), a), np.array([[x0]]),
-                        np.full((39, 1, 1), c))
-    want = a ** k * x0 + c * (1 - a ** k) / (1 - a)
-    assert x.shape == (40, 1, 1)
-    assert np.abs(x[:, 0, 0] - want).max() < 1e-13
-    # without shifts, later factors multiply on the right
+def test_ordered_product_multiplies_on_the_right():
     rng = np.random.default_rng(11)
     f = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     start = rng.normal(size=(1, 2))
@@ -117,14 +102,14 @@ def test_ordered_product_affine_recurrence():
     assert np.abs(x[-1] - start @ f[0] @ f[1] @ f[2]).max() < 1e-13
 
 
-def _ordered_product_loop(factors, start, shifts=None):
+def _ordered_product_loop(factors, start):
     """The node-by-node recurrence, kept as the reference for the blocked
     scan."""
     x = np.empty((factors.shape[0] + 1,) + start.shape,
                  dtype=np.result_type(factors, start))
     x[0] = start
     for k, f in enumerate(factors):
-        x[k + 1] = x[k] @ f if shifts is None else x[k] @ f + shifts[k]
+        x[k + 1] = x[k] @ f
     return x
 
 
@@ -141,23 +126,24 @@ def test_ordered_product_matches_loop(m):
     d = 3
     unitary, _ = np.linalg.qr(_complex(rng, m, d, d))
     cases = [
-        (unitary, _complex(rng, 2, d), None),                  # r < d
-        (unitary, np.eye(d, dtype=complex), 1e-2 * _complex(rng, m, d, d)),
-        # real factors, complex start: the dtype follows np.result_type
-        (rng.normal(size=(m, d, d)) / np.sqrt(d), _complex(rng, 1, d),
-         rng.normal(size=(m, 1, d))),
+        (unitary, _complex(rng, 2, d)),                        # r < d
+        (unitary, np.eye(d, dtype=complex)),
+        # real factors, complex start: the dtype follows np.result_type.
+        # Orthogonal, because a product of m Gaussian matrices shrinks to
+        # about 1e-167 by m = 2000 and its reassociation error then grows
+        # with their conditioning, not with the scan
+        (np.linalg.qr(rng.normal(size=(m, d, d)))[0], _complex(rng, 1, d)),
         # non-unitary factors
-        ((1.0 + 1e-4) * unitary, rng.normal(size=(d, d)), None),
+        ((1.0 + 1e-4) * unitary, rng.normal(size=(d, d))),
         # read-only broadcast inputs
         (np.broadcast_to(unitary[0], (m, d, d)),
-         np.broadcast_to(_complex(rng, d), (2, d)),
-         np.broadcast_to(_complex(rng, 2, d), (m, 2, d))),
+         np.broadcast_to(_complex(rng, d), (2, d))),
     ]
-    for factors, start, shifts in cases:
-        inputs = [a for a in (factors, start, shifts) if a is not None]
+    for factors, start in cases:
+        inputs = [factors, start]
         before = [a.copy() for a in inputs]
-        want = _ordered_product_loop(factors, start, shifts)
-        got = ordered_product(factors, start, shifts)
+        want = _ordered_product_loop(factors, start)
+        got = ordered_product(factors, start)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.dtype == np.result_type(factors, start)
         assert np.array_equal(got[0], start)

@@ -1,6 +1,8 @@
 """Workspace orchestration, power-law fits, velocity sweeps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dapt.engine
 from dapt import (ConfigError, Grid, InsufficientSweep, StateFamily,
@@ -277,3 +279,56 @@ def test_velocity_points_run_no_quadrature(sweep_workspaces, monkeypatch):
     first_order_state(ws.couplings, ws.holonomies, ws.phases,
                       ground_amplitudes(ws.path.n_levels), 0.01)
     assert calls["j_integral"] > 0 and calls["cumulative_quadrature"] > 0
+
+
+@pytest.fixture(scope="module")
+def ragged_ws(ragged):
+    g = Grid.uniform(201)
+    samples = ragged(g)
+    return samples, Workspace.build(samples=samples, grid=g, order=2)
+
+
+def _label_rotation(ws, frame0):
+    """In-level rotation Q of ws's s = 0 ground frame: frame0 @ Q. Label h
+    starts on column h of that frame, so it fixes how labels recombine."""
+    return frame0.conj().T @ ws.path.blocks[0][0]
+
+
+# The validity margins are left out of both properties: they are taken for
+# the label-0 start alone, and which ground vector is label 0 is the
+# eigensolver's gauge choice, which a shift or a change of basis moves (at
+# w = 0.05 a shift of 2.5 moves sup_secular from 6.55e-3 to 6.81e-3).
+
+@given(c=st.floats(min_value=-3.0, max_value=3.0),
+       w=st.floats(min_value=0.05, max_value=0.5))
+@settings(max_examples=10, deadline=None)
+def test_energy_shift_is_a_global_phase(ragged_ws, c, w):
+    # H -> H + cI multiplies every series state by exp(-i c s / v)
+    samples, ws = ragged_ws
+    shifted = Workspace.build(samples=samples + c * np.eye(samples.shape[1]),
+                              grid=ws.grid, order=2)
+    v = vel(w)
+    q = _label_rotation(shifted, ws.path.blocks[0][0])
+    psi = np.einsum("khi,hj->kji", ws.series(v).vectors(ws.path), q)
+    want = np.exp(-1j * c * ws.grid.s / v)[:, None, None] * psi
+    got = shifted.series(v).vectors(shifted.path)
+    assert np.abs(got - want).max() < 1e-10
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       w=st.floats(min_value=0.05, max_value=0.5))
+@settings(max_examples=10, deadline=None)
+def test_change_of_basis_maps_states(ragged_ws, seed, w):
+    # H -> V H V^dagger maps every series state psi to V psi
+    samples, ws = ragged_ws
+    rng = np.random.default_rng(seed)
+    d = samples.shape[1]
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    rotated = Workspace.build(samples=u @ samples @ u.conj().T, grid=ws.grid,
+                              order=2)
+    v = vel(w)
+    q = _label_rotation(rotated, u @ ws.path.blocks[0][0])
+    psi = np.einsum("khi,hj->kji", ws.series(v).vectors(ws.path), q)
+    want = np.einsum("ij,khj->khi", u, psi)
+    got = rotated.series(v).vectors(rotated.path)
+    assert np.abs(got - want).max() < 1e-10
