@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
@@ -98,6 +96,8 @@ def _midpoint_advance(blocks, cs):
     advance_order's algebraic off-diagonal blocks, and each diagonal block
     stepped as x[k+1] = x[k] E_k - h G_mid,k E_k^(1/2), with
     E_k = expm(h A_mid,k) and G_mid,k the average of adjacent sources."""
+    # advance_order supplies the off-diagonal blocks; its diagonal ones
+    # are overwritten below
     new = dict(advance_order(blocks, cs, transport_all(cs)).blocks)
     h = cs.grid.h
     levels = range(cs.n_levels)
