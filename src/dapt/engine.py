@@ -8,18 +8,17 @@ Each order's off-diagonal blocks are algebraic in the previous order's; its
 diagonal blocks are one cumulative quadrature against the workspace's
 holonomies, so the recursion runs no transport of its own.
 
-Block layout: B^(p)[(m, n)] has shape (n_nodes, labels, d_n). The column
-axis is ragged (level n's degeneracy); the row axis is the tracked
-initial-condition label, padded to a common label count (the largest
-degeneracy among the initially populated levels, see label_count) because
-the s = 0 matching condition sums blocks of different source levels
-row-wise.
+The series starts in the degenerate ground level (level 0): initial-condition
+label h is the state that starts on ground frame column h at s = 0.
+
+Block layout: B^(p)[(m, n)] has shape (n_nodes, d_0, d_n). The column axis
+is ragged (level n's degeneracy); the rows are the d_0 ground labels.
 """
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadInitialCondition, DimensionMismatch
+from .errors import DimensionMismatch
 from .grid import Grid, central_derivative, cumulative_quadrature
 from .linalg import unitary_expm
 from .spectral import SpectralPath, level_slices
@@ -88,55 +87,15 @@ class CorrectionBlocks:
             key: b[:, h:h + 1].copy() for key, b in self.blocks.items()})
 
 
-def check_amplitudes(b0, n_levels: int) -> np.ndarray:
-    b0 = np.asarray(b0, dtype=complex)
-    if b0.shape != (n_levels,):
-        raise BadInitialCondition(
-            f"need one amplitude per level ({n_levels}), got shape {b0.shape}")
-    total = float(np.sum(np.abs(b0) ** 2))
-    if abs(total - 1.0) > 1e-10:
-        raise BadInitialCondition(f"amplitudes not normalized: sum |b|^2 = {total!r}")
-    return b0
-
-
-def ground_amplitudes(n_levels: int) -> np.ndarray:
-    b0 = np.zeros(n_levels, dtype=complex)
-    b0[0] = 1.0
-    return b0
-
-
-def label_count(dims: tuple, b0: np.ndarray) -> int:
-    """Rows of every block: the largest degeneracy among levels with a
-    non-zero initial amplitude (only those levels' labels are tracked)."""
-    return max(d for d, b in zip(dims, b0) if b != 0.0)
-
-
-def _embed_rows(mat: np.ndarray, labels: int) -> np.ndarray:
-    """Zero-pad the row axis of (n, d_m, d_n) stacks up to the label count."""
-    n, rows, cols = mat.shape
-    if rows == labels:
-        return mat
-    out = np.zeros((n, labels, cols), dtype=complex)
-    out[:, :rows, :] = mat
-    return out
-
-
-def zero_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
-    """Order-0 blocks: B_{nn} = b_n(0) U^n(s), every other block zero
-    (a read-only broadcast of one zero, which holds no memory)."""
+def zero_order_blocks(cs, holonomies) -> CorrectionBlocks:
+    """Order-0 blocks of the ground start: B_00 = U^0(s), every other block
+    zero (a read-only broadcast of one zero, which holds no memory)."""
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
-    b0 = check_amplitudes(b0, cs.n_levels)
-    labels = label_count(dims, b0)
-    n_nodes = cs.grid.n
-    blocks = {}
-    for m in range(cs.n_levels):
-        for n in range(cs.n_levels):
-            if m == n and b0[n] != 0.0:
-                blocks[(m, n)] = _embed_rows(b0[n] * holonomies[n].u, labels)
-            else:
-                blocks[(m, n)] = np.broadcast_to(np.zeros((), dtype=complex),
-                                                 (n_nodes, labels, dims[n]))
-    return CorrectionBlocks(order=0, grid=cs.grid, dims=dims, labels=labels,
+    zero = np.zeros((), dtype=complex)
+    blocks = {(m, n): np.broadcast_to(zero, (cs.grid.n, dims[0], dims[n]))
+              for m in range(cs.n_levels) for n in range(cs.n_levels)}
+    blocks[(0, 0)] = holonomies[0].u
+    return CorrectionBlocks(order=0, grid=cs.grid, dims=dims, labels=dims[0],
                             blocks=blocks)
 
 
@@ -221,11 +180,10 @@ def series_state(block_list, phases: DynamicalPhase, velocity: float,
                        dims=block_list[0].dims, coefficients=total)
 
 
-def daa_state(cs, holonomies, phases: DynamicalPhase, b0,
+def daa_state(cs, holonomies, phases: DynamicalPhase,
               velocity: float) -> StateFamily:
-    """Degenerate adiabatic approximation (order 0) for given amplitudes."""
-    blocks = zero_order_blocks(cs, holonomies, b0)
-    return assemble_state(blocks, phases, velocity)
+    """Degenerate adiabatic approximation (order 0) of the ground start."""
+    return assemble_state(zero_order_blocks(cs, holonomies), phases, velocity)
 
 
 def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
@@ -241,48 +199,37 @@ def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
     return cumulative_quadrature(integrand, cs.grid)
 
 
-def first_order_blocks(cs, holonomies, b0) -> CorrectionBlocks:
-    """Closed-form first-order blocks (independent of advance_order).
+def first_order_blocks(cs, holonomies) -> CorrectionBlocks:
+    """Closed-form first-order blocks of the ground start (independent of
+    advance_order).
 
     The three first-order contributions in the CorrectionBlocks layout:
-    block (n, n) holds the secular J-integral piece inside each occupied
-    level n plus the s = 0 matching piece, block (m, n) the instantaneous
-    mixing piece out of occupied level m. Velocity-free like every block;
-    their assembly psi^(1) vanishes at s = 0 by construction.
+    block (0, 0) holds the secular J-integral piece inside the ground
+    level, block (n, n) the s = 0 matching piece and block (0, n) the
+    instantaneous mixing piece of excited level n. Velocity-free like every
+    block; their assembly psi^(1) vanishes at s = 0 by construction.
     """
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     levels = range(cs.n_levels)
-    b0 = check_amplitudes(b0, cs.n_levels)
-    labels = label_count(dims, b0)
-    blocks = {(m, n): np.zeros((cs.grid.n, labels, dims[n]), dtype=complex)
+    blocks = {(m, n): np.zeros((cs.grid.n, dims[0], dims[n]), dtype=complex)
               for m in levels for n in levels}
-
-    for n in levels:
+    u_0 = holonomies[0].u
+    for n in levels[1:]:
         u_n = holonomies[n].u
-        for m in levels:
-            if m == n:
-                continue
-            delta_nm = cs.gap(n, m)[:, None, None]
-            if b0[n] != 0.0:
-                j_nmn = j_integral(cs, holonomies, n, m)
-                term = 1j * b0[n] * (j_nmn @ u_n)
-                blocks[(n, n)] += _embed_rows(term, labels)
-            if b0[m] != 0.0:
-                w1_0 = holonomies[m].u[0] @ cs.recursion(m, n)[0] \
-                    @ u_n[0].conj().T
-                term = -1j * b0[m] * (w1_0 @ u_n) / delta_nm[0]
-                blocks[(n, n)] += _embed_rows(term, labels)
-                term = 1j * b0[m] * (holonomies[m].u @ cs.recursion(m, n)) / delta_nm
-                blocks[(m, n)] += _embed_rows(term, labels)
-    return CorrectionBlocks(order=1, grid=cs.grid, dims=dims, labels=labels,
+        delta_n0 = cs.gap(n, 0)[:, None, None]
+        w1_0 = u_0[0] @ cs.recursion(0, n)[0] @ u_n[0].conj().T
+        blocks[(0, 0)] += 1j * (j_integral(cs, holonomies, 0, n) @ u_0)
+        blocks[(n, n)] += -1j * (w1_0 @ u_n) / delta_n0[0]
+        blocks[(0, n)] += 1j * (u_0 @ cs.recursion(0, n)) / delta_n0
+    return CorrectionBlocks(order=1, grid=cs.grid, dims=dims, labels=dims[0],
                             blocks=blocks)
 
 
-def first_order_state(cs, holonomies, phases: DynamicalPhase, b0,
+def first_order_state(cs, holonomies, phases: DynamicalPhase,
                       velocity: float) -> StateFamily:
     """Closed-form first-order family psi^(1): first_order_blocks assembled
     at one velocity."""
-    return assemble_state(first_order_blocks(cs, holonomies, b0), phases,
+    return assemble_state(first_order_blocks(cs, holonomies), phases,
                           velocity)
 
 
@@ -318,9 +265,9 @@ def validity_margins(blocks: CorrectionBlocks, phases: DynamicalPhase,
     """Margins that must stay small for the order-0 description to hold:
     v |psi^(1)| of the label-0 ground start, by level.
 
-    ``blocks`` are the first_order_blocks of the ground start; only label
-    row 0 is read, so its label_row(0) suffices and assembles nothing
-    else. Needs no correction blocks, so it works on an order-0 workspace.
+    ``blocks`` are first-order blocks (advance_order's or
+    first_order_blocks'); only label row 0 is read, so their label_row(0)
+    suffices and assembles nothing else.
     """
     psi1 = assemble_state(blocks, phases, velocity)
     secular, *excited = (velocity * np.abs(psi1.coefficients[:, 0, sl])

@@ -21,10 +21,6 @@ class NotAntiHermitian(DaptError):
     """A generator expected to be anti-Hermitian is not, beyond tolerance."""
 
 
-class NonUnitaryInitial(DaptError):
-    """An initial transport matrix is not unitary, beyond tolerance."""
-
-
 class DegeneracyChanged(DaptError):
     """Degeneracy structure (cluster sizes) changed along the path."""
 
@@ -35,10 +31,6 @@ class RankDeficientOverlap(DaptError):
 
 class GapCollapse(DaptError):
     """An inter-level energy gap fell below the configured floor."""
-
-
-class BadInitialCondition(DaptError):
-    """Initial amplitudes/state fail normalization or shape checks."""
 
 
 class NotGroundStart(DaptError):

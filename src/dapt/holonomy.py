@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import transport_steps
-from .errors import DimensionMismatch, NonUnitaryInitial, NotGroundStart
+from .errors import DimensionMismatch, NotGroundStart
 from .grid import Grid
 from .linalg import ordered_product, unitary_deviation, unitary_expm
 from .spectral import level_slices
@@ -26,24 +26,19 @@ class HolonomyPath:
         return unitary_deviation(self.u)
 
 
-def wz_transport(a_nn: np.ndarray, grid: Grid,
-                 u0: np.ndarray = None) -> np.ndarray:
-    """Solve dU/ds = U A(s) for anti-Hermitian A sampled on the grid.
+def wz_transport(a_nn: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve dU/ds = U A(s), U(0) = I, for anti-Hermitian A sampled on the
+    grid.
 
     Midpoint-Magnus stepping: U(s_{k+1}) = U(s_k) expm(h A(s_{k+1/2})),
     with the midpoint generator taken as the average of adjacent node
-    samples. The initial value sits leftmost in every product, so column
-    gauges compose on the right. Global error O(h^2); each factor is
-    unitary to roundoff.
+    samples. Global error O(h^2); each factor is unitary to roundoff.
 
     Parameters
     ----------
     a_nn : ndarray, shape (n, d, d)
         Anti-Hermitian generator samples (conjugated intra-level coupling).
     grid : Grid
-    u0 : ndarray, optional
-        Initial unitary, identity by default; rejected with
-        NonUnitaryInitial if it deviates from unitary by more than 1e-3.
 
     Returns
     -------
@@ -52,17 +47,9 @@ def wz_transport(a_nn: np.ndarray, grid: Grid,
     a_nn = np.asarray(a_nn, dtype=complex)
     if a_nn.shape[0] != grid.n:
         raise DimensionMismatch("generator sample count does not match grid")
-    d = a_nn.shape[1]
-    if u0 is None:
-        u0 = np.eye(d, dtype=complex)
-    else:
-        u0 = np.asarray(u0, dtype=complex)
-        if unitary_deviation(u0) > 1e-3:
-            raise NonUnitaryInitial(
-                f"initial transport matrix deviates from unitary by "
-                f"{unitary_deviation(u0):.3e}")
     mids = 0.5 * (a_nn[:-1] + a_nn[1:])
-    return ordered_product(unitary_expm(mids, grid.h), u0)
+    return ordered_product(unitary_expm(mids, grid.h),
+                           np.eye(a_nn.shape[1], dtype=complex))
 
 
 def transport_all(cs) -> list:

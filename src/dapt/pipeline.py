@@ -3,11 +3,11 @@
 Workspace.build computes everything that is independent of the sweep
 velocity, once: the spectral path and its snapshot basis, the couplings,
 the holonomies (the model's closed form, or the numeric transport), the
-phase integrals omega_n(s), the correction blocks of every order (whose
-diagonal blocks are quadratures against those holonomies), and the
-first-order blocks of the label-0 ground start that the validity margins
-read (their J-integral quadratures included). The closed-form route runs
-no transport at all.
+phase integrals omega_n(s) and the correction blocks of every order, whose
+diagonal blocks are quadratures against those holonomies. The series starts
+in the ground level; the validity margins read the label-0 row of the
+first-order blocks, so order 1 is built even for an order-0 workspace. The
+closed-form route runs no transport at all.
 
 A velocity point then computes only the phase factors exp(-i omega_n / v),
 one per level, and phase-weighted sums of stored blocks: in a sweep, each
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import couplings_from_path
-from .engine import (CorrectionBlocks, DynamicalPhase, StateFamily,
-                     ValidityReport, advance_order, assemble_state,
-                     first_order_blocks, ground_amplitudes, series_state,
+from .engine import (DynamicalPhase, StateFamily, ValidityReport,
+                     advance_order, assemble_state, series_state,
                      validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
@@ -44,8 +43,7 @@ class Workspace:
     couplings: object          # CouplingSet
     holonomies: list
     phases: DynamicalPhase
-    blocks: list               # CorrectionBlocks, orders 0..order
-    margin_blocks: CorrectionBlocks   # first order, label-0 ground start
+    blocks: list               # CorrectionBlocks, orders 0..max(order, 1)
     order: int
     model: object = None
     samples: np.ndarray = None
@@ -81,14 +79,13 @@ class Workspace:
         else:
             holonomies = transport_all(cs)
         phases = DynamicalPhase.from_path(path)
-        ground = ground_amplitudes(path.n_levels)
-        margin_blocks = first_order_blocks(cs, holonomies, ground).label_row(0)
-        blocks = [zero_order_blocks(cs, holonomies, ground)]
-        for _ in range(order):
+        blocks = [zero_order_blocks(cs, holonomies)]
+        # the margins read order 1, so an order-0 workspace builds it too
+        for _ in range(max(order, 1)):
             blocks.append(advance_order(blocks[-1], cs, holonomies))
         return cls(grid=grid, path=path, couplings=cs, holonomies=holonomies,
-                   phases=phases, blocks=blocks, margin_blocks=margin_blocks,
-                   order=order, model=model, samples=samples)
+                   phases=phases, blocks=blocks, order=order, model=model,
+                   samples=samples)
 
     def series(self, velocity: float, order: int = None) -> StateFamily:
         """Partial sum up to ``order`` (default: everything built)."""
@@ -103,8 +100,8 @@ class Workspace:
         return assemble_state(self.blocks[p], self.phases, velocity)
 
     def margins(self, velocity: float, threshold: float = 0.1) -> ValidityReport:
-        return validity_margins(self.margin_blocks, self.phases, velocity,
-                                threshold=threshold)
+        return validity_margins(self.blocks[1].label_row(0), self.phases,
+                                velocity, threshold=threshold)
 
     def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
         """First-order-corrected ground holonomy. ``terms`` may hold this

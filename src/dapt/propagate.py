@@ -24,7 +24,8 @@ from .linalg import hermitian_part, ordered_product
 from .spectral import SpectralPath, hamiltonian_samples
 
 BLOCK = 128                    # intervals exponentiated per batch
-MAX_PHASE = 0.1                # default phase cap per substep, radians
+MAX_PHASE = 0.1                # phase cap per substep, radians
+MAX_STEPS = 2_000_000          # cap on Magnus steps per propagation
 GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 
@@ -80,22 +81,21 @@ def _interval_factors(h, samples: np.ndarray, grid: Grid, k: np.ndarray,
     return out
 
 
-def substep_count(scale: float, h: float, velocity: float,
-                  max_phase: float = MAX_PHASE) -> int:
+def substep_count(scale: float, h: float, velocity: float) -> int:
     """Substeps per grid interval of width h that keep the phase advanced
-    per substep, h scale / (v substeps), within max_phase; ``scale`` bounds
+    per substep, h scale / (v substeps), within MAX_PHASE; ``scale`` bounds
     |E| over the path."""
-    return max(1, math.ceil(h * scale / (velocity * max_phase)))
+    return max(1, math.ceil(h * scale / (velocity * MAX_PHASE)))
 
 
 def propagate(h, grid: Grid, psi0, velocity: float,
-              max_phase: float = MAX_PHASE, substeps: int = None,
-              max_steps: int = 2_000_000) -> PropagationResult:
+              substeps: int = None) -> PropagationResult:
     """Integrate the exact dynamics for one or more initial states.
 
     ``psi0`` may be a single vector (dim,) or a batch (labels, dim); the
     batch propagates in one pass. ``substeps`` overrides the automatic
-    per-interval subdivision chosen from ``max_phase``.
+    per-interval subdivision chosen from MAX_PHASE. Raises StepTooLarge
+    when the grid intervals times the substeps exceed MAX_STEPS.
     """
     if velocity <= 0.0:
         raise ValueError("velocity must be positive")
@@ -110,11 +110,11 @@ def propagate(h, grid: Grid, psi0, velocity: float,
 
     if substeps is None:
         scale = float(np.abs(np.linalg.eigvalsh(samples)).max())
-        substeps = substep_count(scale, grid.h, velocity, max_phase)
+        substeps = substep_count(scale, grid.h, velocity)
     total = (grid.n - 1) * substeps
-    if total > max_steps:
+    if total > MAX_STEPS:
         raise StepTooLarge(
-            f"{total} Magnus steps exceed max_steps={max_steps}; raise the "
+            f"{total} Magnus steps exceed MAX_STEPS={MAX_STEPS}; raise the "
             "velocity, coarsen the grid, or pass substeps explicitly")
 
     factors = np.empty((grid.n - 1, dim, dim), dtype=complex)

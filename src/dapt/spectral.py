@@ -13,6 +13,8 @@ from .errors import DegeneracyChanged, DimensionMismatch, RankDeficientOverlap
 from .grid import Grid
 from .linalg import hermitian_part, ordered_product
 
+MIN_SINGULAR = 1e-6            # smallest accepted frame-overlap singular value
+
 
 def level_slices(dims) -> list:
     """Slices of each level inside the flattened snapshot index."""
@@ -149,7 +151,7 @@ def snapshot_eigensystem(h, grid: Grid,
     return SpectralPath(grid=grid, energies=energies, blocks=blocks)
 
 
-def smooth_gauge(path: SpectralPath, min_singular: float = 1e-6) -> SpectralPath:
+def smooth_gauge(path: SpectralPath) -> SpectralPath:
     """Align each level's frames along the grid by unitary Procrustes.
 
     Node k+1's block is right-multiplied by the polar unitary of the
@@ -166,19 +168,19 @@ def smooth_gauge(path: SpectralPath, min_singular: float = 1e-6) -> SpectralPath
     Raises
     ------
     RankDeficientOverlap
-        If an overlap's smallest singular value drops below min_singular;
+        If an overlap's smallest singular value drops below MIN_SINGULAR;
         the grid is too coarse or the tracked subspace turned over.
     """
     new_blocks = []
     for level, b in enumerate(path.blocks):
         w, sig, vh = np.linalg.svd(np.swapaxes(b[:-1], 1, 2).conj() @ b[1:])
         low = sig.min(axis=1)
-        bad = np.flatnonzero(low < min_singular)
+        bad = np.flatnonzero(low < MIN_SINGULAR)
         if bad.size:
             k = int(bad[0])
             raise RankDeficientOverlap(
                 f"level {level}: overlap singular value {low[k]:.3e} "
-                f"below {min_singular:.3e} between nodes {k} and {k + 1}")
+                f"below {MIN_SINGULAR:.3e} between nodes {k} and {k + 1}")
         h = ordered_product(w @ vh, np.eye(b.shape[2]))
         new_blocks.append(b @ np.swapaxes(h, 1, 2).conj())
     return SpectralPath(grid=path.grid, energies=path.energies,

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dapt import (BadInitialCondition, DynamicalPhase, Grid, Workspace,
-                  advance_order, check_amplitudes,
+from dapt import (DynamicalPhase, Grid, Workspace, advance_order,
                   couplings_via_frame_derivatives, daa_state,
-                  first_order_blocks, first_order_state, ground_amplitudes,
-                  j_integral, series_state, smooth_gauge,
+                  first_order_blocks, first_order_state, j_integral,
+                  series_state, smooth_gauge,
                   snapshot_eigensystem, transport_all, validity_margins,
                   zero_order_blocks)
 from dapt.spectral import level_slices
@@ -28,19 +27,10 @@ def test_dynamical_phase_linear_for_constant_energies(gamma, grid801):
     assert np.abs(ph.factors(v)[:, 0] - want).max() < 1e-12
 
 
-def test_amplitude_validation():
-    assert np.array_equal(ground_amplitudes(3), [1.0, 0.0, 0.0])
-    check_amplitudes([1.0, 0.0], 2)
-    with pytest.raises(BadInitialCondition):
-        check_amplitudes([1.0, 1.0], 2)
-    with pytest.raises(BadInitialCondition):
-        check_amplitudes([1.0, 0.0, 0.0], 2)
-
-
 def test_zero_order_blocks_structure(gamma, grid801):
     cs = gamma.couplings(grid801)
     hols = gamma.holonomies(grid801)
-    blocks = zero_order_blocks(cs, hols, ground_amplitudes(2))
+    blocks = zero_order_blocks(cs, hols)
     assert blocks.order == 0
     assert blocks.dims == (2, 2)
     assert blocks.labels == 2
@@ -54,7 +44,7 @@ def test_daa_matches_closed_form_with_exact_holonomy(gamma, grid801):
     hols = gamma.holonomies(grid801)
     ph = DynamicalPhase.from_path(gamma.spectral_path(grid801))
     v = vel(0.01)
-    fam = daa_state(cs, hols, ph, ground_amplitudes(2), v)
+    fam = daa_state(cs, hols, ph, v)
     assert np.abs(fam.coefficients[:, 0, :]
                   - gamma.daa_coefficients(grid801.s, v)).max() < 1e-10
 
@@ -71,12 +61,12 @@ def test_j_integral_closed_form(gamma, grid801):
 
 
 def test_first_order_routes_agree(ws_gamma):
+    # both routes integrate against the same transported holonomy
     v = vel(0.01)
     via_recursion = ws_gamma.term(1, v).coefficients
     direct = first_order_state(ws_gamma.couplings, ws_gamma.holonomies,
-                               ws_gamma.phases, ground_amplitudes(2),
-                               v).coefficients
-    assert np.abs(via_recursion - direct).max() < 2e-5
+                               ws_gamma.phases, v).coefficients
+    assert np.abs(via_recursion - direct).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [801, 2001])
@@ -87,7 +77,7 @@ def test_recursion_reads_closed_form_holonomy(gamma, n):
     ws = Workspace.build(model=gamma, grid=Grid.uniform(n), order=1)
     v = vel(0.01)
     direct = first_order_state(ws.couplings, ws.holonomies, ws.phases,
-                               ground_amplitudes(2), v).coefficients
+                               v).coefficients
     assert np.abs(ws.term(1, v).coefficients - direct).max() < 1e-10
 
 
@@ -214,8 +204,7 @@ def test_margins_with_single_level():
     cs = couplings_via_frame_derivatives(path)
     hols = transport_all(cs)
     ph = DynamicalPhase.from_path(path)
-    rep = validity_margins(first_order_blocks(cs, hols, ground_amplitudes(1)),
-                           ph, vel(0.05))
+    rep = validity_margins(first_order_blocks(cs, hols), ph, vel(0.05))
     assert rep.adiabatic_ok
     assert rep.sup_secular == 0.0
     assert rep.sup_gap == {}
@@ -225,11 +214,11 @@ def test_spin_model_scalar_blocks(spin):
     g = Grid.uniform(201)
     cs = spin.couplings(g)
     hols = spin.holonomies(g)
-    blocks = zero_order_blocks(cs, hols, ground_amplitudes(2))
+    blocks = zero_order_blocks(cs, hols)
     assert blocks.dims == (1, 1)
     assert blocks.labels == 1
     ph = DynamicalPhase.from_path(spin.spectral_path(g))
-    fam = daa_state(cs, hols, ph, ground_amplitudes(2), vel(0.05))
+    fam = daa_state(cs, hols, ph, vel(0.05))
     assert fam.coefficients.shape == (201, 1, 2)
 
 
@@ -248,8 +237,7 @@ def test_margins_are_first_order_term(margin_workspaces, route, w):
     ws = margin_workspaces[route]
     v = vel(w)
     rep = ws.margins(v)
-    psi1 = first_order_state(ws.couplings, ws.holonomies, ws.phases,
-                             ground_amplitudes(ws.path.n_levels), v)
+    psi1 = first_order_state(ws.couplings, ws.holonomies, ws.phases, v)
     want = [v * np.abs(psi1.coefficients[:, 0, sl])
             for sl in level_slices(ws.path.dims)]
     got = [rep.secular] + [rep.gap[n] for n in range(1, ws.path.n_levels)]

@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from dapt import (DimensionMismatch, Grid, HolonomyPath, NonUnitaryInitial,
-                  NotGroundStart, corrected_holonomy, transport_all,
-                  wz_transport)
+from dapt import (DimensionMismatch, Grid, HolonomyPath, NotGroundStart,
+                  corrected_holonomy, transport_all, wz_transport)
 
 
 def vel(w):
@@ -42,16 +41,6 @@ def test_transport_stays_unitary(transports):
         assert isinstance(h.level, int)
 
 
-def test_initial_value_composes_on_the_left(gamma):
-    g = Grid.uniform(201)
-    a = gamma.couplings(g).a(0, 0)
-    base = wz_transport(a, g)
-    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(2, 2))
-                        + 1j * np.random.default_rng(12).normal(size=(2, 2)))
-    seeded = wz_transport(a, g, u0=q)
-    assert np.abs(seeded - q @ base).max() < 1e-13
-
-
 def test_gauge_covariance(gamma):
     # rotating every frame by a constant G maps U to G^T U G*
     g = Grid.uniform(401)
@@ -73,8 +62,6 @@ def test_transport_input_validation(gamma):
     a = gamma.couplings(g).a(0, 0)
     with pytest.raises(DimensionMismatch):
         wz_transport(a[:-1], g)
-    with pytest.raises(NonUnitaryInitial):
-        wz_transport(a, g, u0=1.5 * np.eye(2))
 
 
 def test_corrected_holonomy_defect_quadratic_in_velocity(ws_gamma):

@@ -1,11 +1,13 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a test module imports is used there."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dapt"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dapt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -28,4 +30,9 @@ def test_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text()) == []

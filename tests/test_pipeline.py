@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import dapt.engine
 from dapt import (ConfigError, Grid, InsufficientSweep, StateFamily,
                   Workspace, corrected_holonomy, first_order_state,
-                  fit_power_law, ground_amplitudes, hamiltonian_samples,
-                  j_integral, propagate, residual, sweep)
+                  fit_power_law, hamiltonian_samples, j_integral, propagate,
+                  residual, sweep)
 from dapt.pipeline import _sweep_point
 from dapt.spectral import level_slices
 
@@ -166,36 +166,23 @@ def _reference_assemble(blocks, phases, velocity):
 def _reference_first_order(cs, holonomies, phases, velocity):
     """psi^(1) of the ground start, each piece phase-weighted as built."""
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
-    b0 = ground_amplitudes(cs.n_levels)
-    labels = dims[0]
-    coeff = np.zeros((cs.grid.n, labels, sum(dims)), dtype=complex)
+    coeff = np.zeros((cs.grid.n, dims[0], sum(dims)), dtype=complex)
     slices = level_slices(dims)
 
     def factor(n):
         return np.exp(-1j * phases.omega[:, n] / velocity)[:, None, None]
 
-    def embed(term):
-        out = np.zeros((cs.grid.n, labels, term.shape[2]), dtype=complex)
-        out[:, :term.shape[1], :] = term
-        return out
-
-    for n in range(cs.n_levels):
+    u_0 = holonomies[0].u
+    for n in range(1, cs.n_levels):
         u_n = holonomies[n].u
-        for m in range(cs.n_levels):
-            if m == n:
-                continue
-            delta_nm = cs.gap(n, m)[:, None, None]
-            if b0[n] != 0.0:
-                term = 1j * b0[n] * (j_integral(cs, holonomies, n, m) @ u_n)
-                coeff[:, :, slices[n]] += factor(n) * embed(term)
-            if b0[m] != 0.0:
-                w1_0 = holonomies[m].u[0] @ cs.recursion(m, n)[0] \
-                    @ u_n[0].conj().T
-                term = -1j * b0[m] * (w1_0 @ u_n) / delta_nm[0]
-                coeff[:, :, slices[n]] += factor(n) * embed(term)
-                term = 1j * b0[m] * (holonomies[m].u @ cs.recursion(m, n)) \
-                    / delta_nm
-                coeff[:, :, slices[n]] += factor(m) * embed(term)
+        delta_n0 = cs.gap(n, 0)[:, None, None]
+        term = 1j * (j_integral(cs, holonomies, 0, n) @ u_0)
+        coeff[:, :, slices[0]] += factor(0) * term
+        w1_0 = u_0[0] @ cs.recursion(0, n)[0] @ u_n[0].conj().T
+        term = -1j * (w1_0 @ u_n) / delta_n0[0]
+        coeff[:, :, slices[n]] += factor(n) * term
+        term = 1j * (u_0 @ cs.recursion(0, n)) / delta_n0
+        coeff[:, :, slices[n]] += factor(0) * term
     return coeff
 
 
@@ -276,8 +263,7 @@ def test_velocity_points_run_no_quadrature(sweep_workspaces, monkeypatch):
         sweep(ws, [0.005, 0.01, 0.02, 0.05])
     assert calls == {"j_integral": 0, "cumulative_quadrature": 0}
     # the counters do see the quadratures of a per-velocity rebuild
-    first_order_state(ws.couplings, ws.holonomies, ws.phases,
-                      ground_amplitudes(ws.path.n_levels), 0.01)
+    first_order_state(ws.couplings, ws.holonomies, ws.phases, 0.01)
     assert calls["j_integral"] > 0 and calls["cumulative_quadrature"] > 0
 
 

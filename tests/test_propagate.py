@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from dapt import (Grid, NonHermitianInput, StepTooLarge, hamiltonian_samples,
                   propagate, residual)
+from dapt.propagate import MAX_PHASE, MAX_STEPS
 
 
 def vel(w):
@@ -124,10 +125,13 @@ def test_projection_onto_snapshot_basis(gamma):
 
 
 def test_automatic_substep_choice(gamma, grid201):
-    res = propagate(gamma.hamiltonian, grid201, gamma.frames(0.0)[:, 0],
-                    vel(0.2), max_phase=0.01)
-    # |H| h / (v substeps) must come out at or below the cap
-    assert 0.5 * grid201.h / (vel(0.2) * res.substeps) <= 0.01
+    v = vel(0.02)
+    res = propagate(gamma.hamiltonian, grid201, gamma.frames(0.0)[:, 0], v)
+    # |H| h / (v substeps) must come out at or below the cap, and one
+    # substep fewer would exceed it
+    assert res.substeps > 1
+    assert 0.5 * grid201.h / (v * res.substeps) <= MAX_PHASE
+    assert 0.5 * grid201.h / (v * (res.substeps - 1)) > MAX_PHASE
 
 
 def test_input_validation(gamma, grid201):
@@ -137,8 +141,8 @@ def test_input_validation(gamma, grid201):
     with pytest.raises(ValueError):
         propagate(gamma.hamiltonian, grid201, psi0[:3], vel(0.2))
     with pytest.raises(StepTooLarge):
-        propagate(gamma.hamiltonian, grid201, psi0, vel(0.2), substeps=100,
-                  max_steps=1000)
+        propagate(gamma.hamiltonian, grid201, psi0, vel(0.2),
+                  substeps=MAX_STEPS // (grid201.n - 1) + 1)
     bad = hamiltonian_samples(gamma.hamiltonian, grid201)
     bad[7, 0, 1] += 1e-6
     with pytest.raises(NonHermitianInput):

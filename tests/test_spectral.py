@@ -91,16 +91,22 @@ def test_smooth_gauge_preserves_projectors(gamma):
                       - smooth.projectors(level)).max() < 1e-12
 
 
-def test_smooth_gauge_flags_rank_deficient_overlap():
-    # ground frame rotates a quarter turn between adjacent nodes of a
-    # 3-node grid, so the overlap singular value drops well below 0.9
+def _turning_path(turns):
+    """3-node path on which the field direction of H turns by ``turns``
+    half turns between adjacent nodes."""
     g = Grid.uniform(3)
-    samples = np.stack([np.cos(np.pi * s) * PAULI_Z + np.sin(np.pi * s) * PAULI_X
-                        for s in g.s])
-    path = snapshot_eigensystem(samples, g)
+    a = np.pi * turns * g.s / g.h
+    return snapshot_eigensystem(np.stack(
+        [np.cos(x) * PAULI_Z + np.sin(x) * PAULI_X for x in a]), g)
+
+
+def test_smooth_gauge_flags_rank_deficient_overlap():
+    # a half turn takes the ground vector to the one orthogonal to it, so
+    # the overlap between nodes 0 and 1 vanishes; a quarter turn leaves
+    # it at 1/sqrt(2)
     with pytest.raises(RankDeficientOverlap, match="between nodes 0 and 1"):
-        smooth_gauge(path, min_singular=0.9)
-    smooth_gauge(path)
+        smooth_gauge(_turning_path(1.0))
+    smooth_gauge(_turning_path(0.5))
 
 
 def test_callable_and_sample_routes_agree(gamma):
