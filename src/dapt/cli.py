@@ -2,8 +2,11 @@
 
 Subcommands: evolve, holonomy, dapt, validate, sweep, fit-order. Options
 may come from a JSON config file (--config); explicit flags win over the
-file, which wins over built-in defaults. Every run writes a CSV data file
-plus a JSON summary echoing the effective configuration.
+file, which wins over built-in defaults. Each option is one row of
+OPTIONS, which both the config check and the parser read. Each cmd_*
+returns (cols, payload, note), and _write alone writes every output: the
+CSV of the columns, the JSON summary echoing the effective configuration
+and the stdout line.
 
 Exit codes: 0 success, 2 bad configuration or non-Hermitian input,
 3 spectral-gap collapse, 4 degeneracy structure change, 5 I/O failure,
@@ -13,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,25 +30,7 @@ from .models import GammaModel, SpinHalfModel
 from .pipeline import Workspace, fit_power_law, sweep
 from .spectral import level_slices
 
-DEFAULTS = {
-    "model": "gamma",
-    "hamiltonian_file": None,
-    "b": 1.0,
-    "theta": math.pi / 3.0,
-    "w": 0.01,
-    "v": None,
-    "grid_n": 2001,
-    "order": 1,
-    "degeneracy_tol": 1e-8,
-    "gap_floor": None,
-    "threshold": 0.1,
-    "substeps": None,
-    "numeric_transport": False,
-    "v_list": None,
-    "input": None,
-    "out_csv": None,
-    "out_json": None,
-}
+MODELS = {"gamma": GammaModel, "spin-half": SpinHalfModel}
 
 
 def _is_real(x) -> bool:
@@ -52,48 +38,71 @@ def _is_real(x) -> bool:
         and math.isfinite(x)
 
 
-_INTEGER = ("an integer", lambda x: isinstance(x, int)
-            and not isinstance(x, bool))
-_REAL = ("a finite real number", _is_real)
-_TEXT = ("a string", lambda x: isinstance(x, str))
+class Kind(NamedTuple):
+    name: str
+    ok: Callable[[object], bool]  # the type test of a config-file value
+    convert: Optional[Callable]  # argparse's; None for an on/off flag
 
-# the type every key must have; null is allowed only where the default is
-KINDS = {
-    "model": _TEXT,
-    "hamiltonian_file": _TEXT,
-    "b": _REAL,
-    "theta": _REAL,
-    "w": _REAL,
-    "v": _REAL,
-    "grid_n": _INTEGER,
-    "order": _INTEGER,
-    "degeneracy_tol": _REAL,
-    "gap_floor": _REAL,
-    "threshold": _REAL,
-    "substeps": _INTEGER,
-    "numeric_transport": ("a boolean", lambda x: isinstance(x, bool)),
-    "v_list": ("a string or a list of numbers",
-               lambda x: isinstance(x, str)
-               or isinstance(x, list) and all(map(_is_real, x))),
-    "input": _TEXT,
-    "out_csv": _TEXT,
-    "out_json": _TEXT,
+
+_INTEGER = Kind("an integer", lambda x: isinstance(x, int)
+                and not isinstance(x, bool), int)
+_REAL = Kind("a finite real number", _is_real, float)
+_TEXT = Kind("a string", lambda x: isinstance(x, str), str)
+
+
+class Option(NamedTuple):
+    default: object  # null is allowed only where the default is
+    kind: Kind
+    help: Optional[str] = None
+    command: Optional[str] = None  # the one subcommand taking it, else all
+
+
+# every config key, in the order the summary echoes them, and its --flag
+OPTIONS = {
+    "model": Option("gamma", _TEXT),
+    "hamiltonian_file": Option(
+        None, _TEXT, "sampled-Hamiltonian text file (grid comes from it)"),
+    "b": Option(1.0, _REAL, "level splitting (default 1.0)"),
+    "theta": Option(math.pi / 3.0, _REAL, "cone angle (default pi/3)"),
+    "w": Option(0.01, _REAL, "drive angular frequency; sets v = w / 2pi"),
+    "v": Option(None, _REAL, "sweep velocity (overrides --w)"),
+    "grid_n": Option(2001, _INTEGER,
+                     "grid nodes for built-in models (default 2001)"),
+    "order": Option(1, _INTEGER, "series order cap, 0..2"),
+    "degeneracy_tol": Option(1e-8, _REAL),
+    "gap_floor": Option(None, _REAL),
+    "threshold": Option(0.1, _REAL, "validity margin threshold (default 0.1)"),
+    "substeps": Option(None, _INTEGER,
+                       "Magnus substeps per grid interval of the reference "
+                       "propagator (default: automatic)"),
+    "numeric_transport": Option(
+        False, Kind("a boolean", lambda x: isinstance(x, bool), None),
+        "transport holonomies numerically even when the model has a "
+        "closed form"),
+    "v_list": Option(
+        None, Kind("a string or a list of numbers",
+                   lambda x: isinstance(x, str)
+                   or isinstance(x, list) and all(map(_is_real, x)), str),
+        "comma-separated sweep velocities", "sweep"),
+    "input": Option(None, _TEXT, "sweep CSV to fit", "fit-order"),
+    "out_csv": Option(None, _TEXT),
+    "out_json": Option(None, _TEXT),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(loaded) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key in DEFAULTS:
+    for key in OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -101,11 +110,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(cfg: dict) -> dict:
-    for key, (kind, ok) in KINDS.items():
+    for key, opt in OPTIONS.items():
         val = cfg[key]
-        if not (ok(val) or val is None and DEFAULTS[key] is None):
-            raise ConfigError(f"{key} must be {kind}, got {val!r}")
-    if cfg["model"] not in ("gamma", "spin-half"):
+        if not (opt.kind.ok(val) or val is None and opt.default is None):
+            raise ConfigError(f"{key} must be {opt.kind.name}, got {val!r}")
+    if cfg["model"] not in MODELS:
         raise ConfigError(f"unknown model {cfg['model']!r}")
     if cfg["b"] <= 0.0 or cfg["w"] <= 0.0:
         raise ConfigError("b and w must be positive")
@@ -138,24 +147,22 @@ def _build(cfg: dict) -> Workspace:
                                order=cfg["order"],
                                degeneracy_tol=cfg["degeneracy_tol"],
                                gap_floor=cfg["gap_floor"])
-    cls = GammaModel if cfg["model"] == "gamma" else SpinHalfModel
-    model = cls(gap=cfg["b"], cone_angle=cfg["theta"])
+    model = MODELS[cfg["model"]](gap=cfg["b"], cone_angle=cfg["theta"])
     grid = Grid.uniform(cfg["grid_n"])
     return Workspace.build(model=model, grid=grid, order=cfg["order"],
                            model_holonomy=not cfg["numeric_transport"])
 
 
-def _outputs(cfg: dict, command: str):
-    csv_path = cfg["out_csv"] or f"dapt_{command.replace('-', '_')}.csv"
-    json_path = cfg["out_json"] or f"dapt_{command.replace('-', '_')}.json"
-    return csv_path, json_path
+def _fits(named) -> tuple:
+    """The summary's fits and the stdout slope list of (name, fit) pairs."""
+    fits = {name: {"slope": f.slope, "half_width": f.half_width,
+                   "intercept": f.intercept, "n_points": f.n_points}
+            for name, f in named}
+    return fits, ", ".join(f"{k}: {v['slope']:.3f}"
+                           for k, v in sorted(fits.items()))
 
 
-def _echo(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if v is not None}
-
-
-def cmd_evolve(cfg: dict) -> int:
+def cmd_evolve(cfg: dict):
     ws = _build(cfg)
     v = _velocity(cfg)
     exact, drift, substeps = ws.exact(v, substeps=cfg["substeps"])
@@ -169,21 +176,17 @@ def cmd_evolve(cfg: dict) -> int:
     cols += [(f"order{ws.order}_{j}", series_coeff[:, j])
              for j in range(ws.path.dim)]
     cols.append(("residual", res))
-    csv_path, json_path = _outputs(cfg, "evolve")
-    write_csv(csv_path, cols)
-    write_summary(json_path, {
+    return cols, {
         "velocity": v,
         "order": ws.order,
         "sup_residual": float(res.max()),
         "final_residual": float(res[-1]),
         "norm_drift": drift,
         "substeps": substeps,
-    }, config=_echo(cfg))
-    print(f"evolve: sup residual {res.max():.3e}; wrote {csv_path}, {json_path}")
-    return 0
+    }, f"sup residual {res.max():.3e}"
 
 
-def cmd_holonomy(cfg: dict) -> int:
+def cmd_holonomy(cfg: dict):
     ws = _build(cfg)
     v = _velocity(cfg)
     cols = [("s", ws.grid.s)]
@@ -196,20 +199,15 @@ def cmd_holonomy(cfg: dict) -> int:
     payload = {"velocity": v, "unitarity_deviation": dev}
     if ws.order >= 1:
         corr = ws.corrected(v)
-        d = corr.v_matrix.shape[1]
-        dg = corr.v_matrix.shape[2]
+        _, d, dg = corr.v_matrix.shape
         cols += [(f"v0_{i}{j}", corr.v_matrix[:, i, j])
                  for i in range(d) for j in range(dg)]
         payload["corrected_defect"] = corr.unitarity_deviation()
         payload["final_population"] = float(corr.population[-1].max())
-    csv_path, json_path = _outputs(cfg, "holonomy")
-    write_csv(csv_path, cols)
-    write_summary(json_path, payload, config=_echo(cfg))
-    print(f"holonomy: wrote {csv_path}, {json_path}")
-    return 0
+    return cols, payload, ""
 
 
-def cmd_dapt(cfg: dict) -> int:
+def cmd_dapt(cfg: dict):
     ws = _build(cfg)
     v = _velocity(cfg)
     cols = [("s", ws.grid.s)]
@@ -223,21 +221,17 @@ def cmd_dapt(cfg: dict) -> int:
     total = np.linalg.norm(fam.coefficients[:, 0, :], axis=1) ** 2
     cols.append(("ground_population", ground / total))
     rep = ws.margins(v, threshold=cfg["threshold"])
-    csv_path, json_path = _outputs(cfg, "dapt")
-    write_csv(csv_path, cols)
-    write_summary(json_path, {
+    return cols, {
         "velocity": v,
         "order": ws.order,
         "final_ground_population": float(ground[-1] / total[-1]),
         "margin_secular_sup": rep.sup_secular,
         "margin_gap_sup": rep.sup_gap,
         "adiabatic_ok": rep.adiabatic_ok,
-    }, config=_echo(cfg))
-    print(f"dapt: wrote {csv_path}, {json_path}")
-    return 0
+    }, ""
 
 
-def cmd_validate(cfg: dict) -> int:
+def cmd_validate(cfg: dict):
     ws = _build(cfg)
     v = _velocity(cfg)
     rep = ws.margins(v, threshold=cfg["threshold"])
@@ -246,9 +240,7 @@ def cmd_validate(cfg: dict) -> int:
              for g in range(rep.secular.shape[1])]
     for n, prof in rep.gap.items():
         cols += [(f"q2_{n}_{g}", prof[:, g]) for g in range(prof.shape[1])]
-    csv_path, json_path = _outputs(cfg, "validate")
-    write_csv(csv_path, cols)
-    write_summary(json_path, {
+    return cols, {
         "velocity": v,
         "threshold": rep.threshold,
         "sup_secular": rep.sup_secular,
@@ -256,13 +248,10 @@ def cmd_validate(cfg: dict) -> int:
         "final_secular": rep.final_secular,
         "final_gap": {str(k): val for k, val in rep.final_gap.items()},
         "adiabatic_ok": rep.adiabatic_ok,
-    }, config=_echo(cfg))
-    print(f"validate: adiabatic_ok={rep.adiabatic_ok}; "
-          f"wrote {csv_path}, {json_path}")
-    return 0
+    }, f"adiabatic_ok={rep.adiabatic_ok}"
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict):
     if not cfg["v_list"]:
         raise ConfigError("sweep requires --v-list")
     if isinstance(cfg["v_list"], str):
@@ -280,40 +269,23 @@ def cmd_sweep(cfg: dict) -> int:
     cols.append(("margin_secular", [r.margin_secular for r in result.rows]))
     cols.append(("margin_gap", [r.margin_gap for r in result.rows]))
     cols.append(("holonomy_defect", [r.holonomy_defect for r in result.rows]))
-    csv_path, json_path = _outputs(cfg, "sweep")
-    write_csv(csv_path, cols)
-    fits = {f"order{p}": {"slope": f.slope, "half_width": f.half_width,
-                          "intercept": f.intercept, "n_points": f.n_points}
-            for p, f in enumerate(result.fits)}
-    write_summary(json_path, {"fits": fits}, config=_echo(cfg))
-    slopes = ", ".join(f"order{p}: {f.slope:.3f}"
-                       for p, f in enumerate(result.fits))
-    print(f"sweep: fitted slopes {slopes}; wrote {csv_path}, {json_path}")
-    return 0
+    fits, slopes = _fits((f"order{p}", f) for p, f in enumerate(result.fits))
+    return cols, {"fits": fits}, f"fitted slopes {slopes}"
 
 
-def cmd_fit_order(cfg: dict) -> int:
+def cmd_fit_order(cfg: dict):
     if not cfg["input"]:
         raise ConfigError("fit-order requires --input (a sweep CSV)")
     data = read_csv(cfg["input"])
     if "velocity" not in data:
         raise ConfigError(f"{cfg['input']}: no velocity column")
     vs = np.real(data["velocity"])
-    fits = {}
-    for name, col in data.items():
-        if not name.startswith("residual_order"):
-            continue
-        fit = fit_power_law(vs, np.real(col))
-        fits[name.removeprefix("residual_")] = {
-            "slope": fit.slope, "half_width": fit.half_width,
-            "intercept": fit.intercept, "n_points": fit.n_points}
-    if not fits:
+    named = [(name.removeprefix("residual_"), fit_power_law(vs, np.real(col)))
+             for name, col in data.items() if name.startswith("residual_order")]
+    if not named:
         raise ConfigError(f"{cfg['input']}: no residual_order columns")
-    _, json_path = _outputs(cfg, "fit_order")
-    write_summary(json_path, {"fits": fits}, config=_echo(cfg))
-    lines = ", ".join(f"{k}: {v['slope']:.3f}" for k, v in sorted(fits.items()))
-    print(f"fit-order: {lines}; wrote {json_path}")
-    return 0
+    fits, slopes = _fits(named)
+    return None, {"fits": fits}, slopes
 
 
 COMMANDS = {
@@ -326,32 +298,20 @@ COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--model", choices=["gamma", "spin-half"])
-    p.add_argument("--hamiltonian-file", dest="hamiltonian_file",
-                   help="sampled-Hamiltonian text file (grid comes from it)")
-    p.add_argument("--b", type=float, help="level splitting (default 1.0)")
-    p.add_argument("--theta", type=float, help="cone angle (default pi/3)")
-    p.add_argument("--w", type=float,
-                   help="drive angular frequency; sets v = w / 2pi")
-    p.add_argument("--v", type=float, help="sweep velocity (overrides --w)")
-    p.add_argument("--grid-n", dest="grid_n", type=int,
-                   help="grid nodes for built-in models (default 2001)")
-    p.add_argument("--order", type=int, help="series order cap, 0..2")
-    p.add_argument("--degeneracy-tol", dest="degeneracy_tol", type=float)
-    p.add_argument("--gap-floor", dest="gap_floor", type=float)
-    p.add_argument("--threshold", type=float,
-                   help="validity margin threshold (default 0.1)")
-    p.add_argument("--substeps", type=int,
-                   help="Magnus substeps per grid interval of the reference "
-                        "propagator (default: automatic)")
-    p.add_argument("--numeric-transport", dest="numeric_transport",
-                   action="store_true", default=None,
-                   help="transport holonomies numerically even when the "
-                        "model has a closed form")
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--out-json", dest="out_json")
+def _write(cfg: dict, command: str, cols, payload: dict, note: str) -> None:
+    """Every output of a run: the CSV of ``cols`` (none when None), the
+    JSON summary of ``payload`` with the effective configuration, and one
+    stdout line that leads with ``note`` and names the files written."""
+    stem = "dapt_" + command.replace("-", "_")
+    paths = []
+    if cols is not None:
+        paths.append(cfg["out_csv"] or f"{stem}.csv")
+        write_csv(paths[-1], cols)
+    paths.append(cfg["out_json"] or f"{stem}.json")
+    write_summary(paths[-1], payload,
+                  config={k: v for k, v in cfg.items() if v is not None})
+    wrote = "wrote " + ", ".join(paths)
+    print(f"{command}: {note}; {wrote}" if note else f"{command}: {wrote}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,35 +323,35 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = subs.add_parser(name)
-        _add_common(sp)
-        if name == "sweep":
-            sp.add_argument("--v-list", dest="v_list",
-                            help="comma-separated sweep velocities")
-        if name == "fit-order":
-            sp.add_argument("--input", help="sweep CSV to fit")
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for key, opt in OPTIONS.items():
+            if opt.command not in (None, name):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if opt.kind.convert is None:
+                sp.add_argument(flag, action="store_true", default=None,
+                                help=opt.help)
+            else:
+                sp.add_argument(flag, type=opt.kind.convert, help=opt.help,
+                                choices=MODELS if key == "model" else None)
     return parser
+
+
+# the first class that a raised error is an instance of gives the exit code
+EXIT_CODES = {ConfigError: 2, NonHermitianInput: 2, GapCollapse: 3,
+              DegeneracyChanged: 4, OSError: 5, DaptError: 1}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _validate(_merge_config(args))
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, NonHermitianInput) as exc:
+        _write(cfg, args.command, *COMMANDS[args.command](cfg))
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GapCollapse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegeneracyChanged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except DaptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES.items()
+                    if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

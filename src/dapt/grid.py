@@ -17,7 +17,7 @@ class Grid:
     Attributes
     ----------
     s : ndarray, shape (n,)
-        Strictly increasing nodes with s[0] = 0 and s[-1] = 1.
+        Finite, strictly increasing nodes with s[0] = 0 and s[-1] = 1.
     """
 
     s: np.ndarray
@@ -26,6 +26,8 @@ class Grid:
         s = np.asarray(self.s, dtype=float)
         if s.ndim != 1 or s.size < 3:
             raise GridTooSmall("grid needs at least 3 nodes")
+        if not np.all(np.isfinite(s)):
+            raise DimensionMismatch("grid nodes must be finite")
         if s[0] != 0.0 or abs(s[-1] - 1.0) > 1e-12:
             raise DimensionMismatch("grid must span [0, 1]")
         h = np.diff(s)

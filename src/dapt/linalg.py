@@ -10,15 +10,19 @@ def hermitian_part(samples: np.ndarray) -> np.ndarray:
     """Check that matrices (batched on leading axes) are Hermitian and
     return their Hermitian part (H + H^dagger) / 2.
 
-    Raises NonHermitianInput when max|H - H^dagger| exceeds
-    1e-10 * max(1, max|H|). Exactly Hermitian input comes back with equal
-    values, so accepted samples are symmetrised exactly once however many
-    checks they pass through.
+    Raises NonHermitianInput when an entry is not finite or when
+    max|H - H^dagger| exceeds 1e-10 * max(1, max|H|). Exactly Hermitian
+    input comes back with equal values, so accepted samples are
+    symmetrised exactly once however many checks they pass through.
     """
     samples = np.asarray(samples, dtype=complex)
+    scale = float(np.abs(samples).max())
+    # max propagates nan, so scale is finite exactly when every entry is
+    if not math.isfinite(scale):
+        raise NonHermitianInput("matrix has a non-finite (nan or inf) entry")
     adjoint = np.swapaxes(samples, -1, -2).conj()
     dev = np.abs(samples - adjoint).max()
-    tol = 1e-10 * max(1.0, float(np.abs(samples).max()))
+    tol = 1e-10 * max(1.0, scale)
     if dev > tol:
         raise NonHermitianInput(
             f"max |H - H^dag| = {dev:.3e} exceeds {tol:.3e}")

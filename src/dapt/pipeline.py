@@ -73,8 +73,7 @@ class Workspace:
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
             cs = couplings_from_path(path, h=samples, gap_floor=gap_floor)
-        if model_holonomy and model is not None \
-                and hasattr(model, "holonomies"):
+        if model_holonomy and model is not None:
             holonomies = model.holonomies(grid)
         else:
             holonomies = transport_all(cs)
@@ -126,8 +125,7 @@ class Workspace:
         model's Hamiltonian) at its default phase cap. Returns
         (psi, norm_drift, substeps), with 0 substeps for the closed form.
         """
-        if self.model is not None and hasattr(self.model, "exact_state") \
-                and label == 0:
+        if self.model is not None and label == 0:
             # the stored snapshot basis spares the closed form its frames
             return self.model.exact_state(self.grid.s, velocity,
                                           frames=self.path.basis()), 0.0, 0

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, config merging, exit codes."""
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dapt import Grid, hamiltonian_samples, read_csv, write_hamiltonian
-from dapt.cli import main
+from dapt.cli import build_parser, main
 from dapt.models import GAMMA, GammaModel
 
 
@@ -137,6 +140,28 @@ def test_error_exit_codes(argv, code):
     assert run(*argv) == code
 
 
+@pytest.mark.parametrize("command", ["validate", "evolve"])
+@pytest.mark.parametrize("node,field,token,message", [
+    (25, 1, "nan,0", "non-finite"),
+    (25, 2, "inf,0", "non-finite"),
+    (25, 0, "nan", "bad grid"),
+    (50, 0, "nan", "bad grid"),
+])
+def test_non_finite_file_exit_code(in_tmp, gamma, capsys, command, node,
+                                   field, token, message):
+    # a non-finite node time (field 0) or matrix entry is rejected as
+    # malformed input before it reaches the eigensolver
+    g = Grid.uniform(51)
+    write_hamiltonian("h.txt", hamiltonian_samples(gamma.hamiltonian, g), g)
+    lines = (in_tmp / "h.txt").read_text().splitlines()
+    row = lines[1 + node].split()
+    row[field] = token
+    lines[1 + node] = " ".join(row)
+    (in_tmp / "h.txt").write_text("\n".join(lines) + "\n")
+    assert run(command, "--hamiltonian-file", "h.txt") == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("asymmetry,code", [(5e-11, 0), (1e-6, 2)])
 def test_hermiticity_tolerance_exit_codes(in_tmp, gamma, asymmetry, code):
     # below 1e-10 * max(1, max|H|) the file is symmetrised and accepted by
@@ -238,3 +263,17 @@ def test_numeric_transport_flag(in_tmp, gamma):
     assert run("holonomy", "--grid-n", "201", "--order", "0") == 0
     data = read_csv(in_tmp / "dapt_holonomy.csv")
     assert np.abs(data["u0_00"] - closed).max() < 1e-14
+
+
+def test_readme_documents_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    section = section[:section.index("\n## ")]
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for sp in subs.choices.values() for a in sp._actions
+               for flag in a.option_strings} - {"-h", "--help"}
+    assert defined - set(re.findall(r"--[a-z][a-z-]*", section)) == set()
+    table = re.findall(r"^\| `(--[a-z][a-z-]*)", section, re.MULTILINE)
+    assert len(table) > 10
+    assert set(table) - defined == set()

@@ -36,6 +36,16 @@ def test_grid_rejects_bad_spans():
         Grid(np.array([0.0, 0.7, 1.0]))
 
 
+@pytest.mark.parametrize("node", [25, -1])
+def test_grid_rejects_non_finite_nodes(node):
+    # nan fails every comparison, so it would pass the span and spacing
+    # checks at an interior or at the last node
+    s = np.linspace(0.0, 1.0, 51)
+    s[node] = np.nan
+    with pytest.raises(DimensionMismatch, match="finite"):
+        Grid(s)
+
+
 def test_quadrature_full_range_matches_composite_simpson():
     # odd node count: the final value is plain composite Simpson
     g = Grid.uniform(201)

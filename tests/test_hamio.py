@@ -77,6 +77,21 @@ def test_non_hermitian_file_rejected(tmp_path):
         read_hamiltonian(path)
 
 
+@pytest.mark.parametrize("node,error,message", [
+    ("0.5 nan,0 1,0 1,0 0,0", NonHermitianInput, "non-finite"),
+    ("0.5 inf,0 1,0 1,0 0,0", NonHermitianInput, "non-finite"),
+    ("0.5 nan 1,0 1,0 0,0", NonHermitianInput, "non-finite"),
+    ("nan 0,0 1,0 1,0 0,0", ConfigError, "bad grid"),
+])
+def test_non_finite_file_rejected(tmp_path, node, error, message):
+    # the bare "nan" entry takes the token-by-token scan, the pairs the
+    # one-pass conversion
+    path = tmp_path / "nf.txt"
+    path.write_text(f"2 3\n0 0,0 1,0 1,0 0,0\n{node}\n1 0,0 1,0 1,0 0,0\n")
+    with pytest.raises(error, match=message):
+        read_hamiltonian(path)
+
+
 def _read_hamiltonian_reference(path):
     """Token-by-token parser, kept as the reference for the one-pass
     conversion of read_hamiltonian."""

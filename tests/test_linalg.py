@@ -87,6 +87,16 @@ def test_hermitian_part():
     hermitian_part(big)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf,
+                                   complex(0.0, np.inf), complex(0.0, np.nan)])
+def test_hermitian_part_rejects_non_finite_entries(entry):
+    # nan > tol is False, so without its own check a nan entry would pass
+    h = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    h[1, 0, 1] = entry
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        hermitian_part(h)
+
+
 def test_unitary_predicates():
     q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4))
                         + 1j * np.random.default_rng(6).normal(size=(4, 4)))
