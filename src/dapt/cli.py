@@ -274,6 +274,9 @@ def cmd_sweep(cfg: dict):
 
 
 def cmd_fit_order(cfg: dict):
+    if cfg["out_csv"]:
+        raise ConfigError("fit-order writes no CSV, so out_csv is not "
+                          "accepted")
     if not cfg["input"]:
         raise ConfigError("fit-order requires --input (a sweep CSV)")
     data = read_csv(cfg["input"])

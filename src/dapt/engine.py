@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grid import Grid, central_derivative, cumulative_quadrature
-from .linalg import unitary_expm
+from .linalg import stack_matmul, unitary_expm
 from .spectral import SpectralPath, level_slices
 
 
@@ -134,20 +134,21 @@ def advance_order(blocks: CorrectionBlocks, cs,
                 continue
             source = central_derivative(blocks.block(m, n), cs.grid)
             for k in levels:
-                source = source + blocks.block(m, k) @ cs.recursion(k, n)
+                source = source + stack_matmul(blocks.block(m, k),
+                                               cs.recursion(k, n))
             delta = cs.gap(m, n)[:, None, None]
             new[(m, n)] = (-1j / delta) * source
 
     for n in levels:
         # zero-array sum starts keep a single-level path (no sources) working
         zero = np.zeros(blocks.block(n, n).shape, dtype=complex)
-        g = sum((new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n),
-                zero)
+        g = sum((stack_matmul(new[(n, k)], cs.recursion(k, n))
+                 for k in levels if k != n), zero)
         start = -sum((new[(m, n)][0] for m in levels if m != n), zero[0])
         u = holonomies[n].u
         u_dag = np.swapaxes(u, 1, 2).conj()
-        new[(n, n)] = (start @ u_dag[0]
-                       - cumulative_quadrature(g @ u_dag, cs.grid)) @ u
+        integral = cumulative_quadrature(stack_matmul(g, u_dag), cs.grid)
+        new[(n, n)] = stack_matmul(start @ u_dag[0] - integral, u)
     return CorrectionBlocks(order=blocks.order + 1, grid=blocks.grid,
                             dims=blocks.dims, labels=blocks.labels, blocks=new)
 
@@ -260,16 +261,16 @@ class ValidityReport:
     adiabatic_ok: bool
 
 
-def validity_margins(blocks: CorrectionBlocks, phases: DynamicalPhase,
-                     velocity: float, threshold: float = 0.1) -> ValidityReport:
+def validity_margins(psi1: StateFamily, velocity: float,
+                     threshold: float = 0.1) -> ValidityReport:
     """Margins that must stay small for the order-0 description to hold:
     v |psi^(1)| of the label-0 ground start, by level.
 
-    ``blocks`` are first-order blocks (advance_order's or
-    first_order_blocks'); only label row 0 is read, so their label_row(0)
-    suffices and assembles nothing else.
+    ``psi1`` is the first-order family assembled at ``velocity`` (from
+    advance_order's or first_order_blocks' blocks). Only label row 0 is
+    read, so a family of that row alone suffices, and an all-label family
+    gives the same margins element for element.
     """
-    psi1 = assemble_state(blocks, phases, velocity)
     secular, *excited = (velocity * np.abs(psi1.coefficients[:, 0, sl])
                          for sl in level_slices(psi1.dims))
     gap_profiles = dict(enumerate(excited, start=1))
@@ -278,7 +279,7 @@ def validity_margins(blocks: CorrectionBlocks, phases: DynamicalPhase,
     final_gap = {n: float(p[-1].max()) for n, p in gap_profiles.items()}
     sup_secular = float(secular.max())
     ok = sup_secular <= threshold and all(v <= threshold for v in sup_gap.values())
-    return ValidityReport(grid=blocks.grid, velocity=velocity, threshold=threshold,
+    return ValidityReport(grid=psi1.grid, velocity=velocity, threshold=threshold,
                           secular=secular, gap=gap_profiles,
                           sup_secular=sup_secular, sup_gap=sup_gap,
                           final_secular=float(secular[-1].max()),

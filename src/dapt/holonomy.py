@@ -88,9 +88,7 @@ class CorrectedHolonomy:
     velocity: float
 
     def unitarity_deviation(self) -> float:
-        vh = np.swapaxes(self.v_matrix, 1, 2).conj()
-        eye = np.eye(self.v_matrix.shape[2])
-        return float(np.abs(vh @ self.v_matrix - eye).max())
+        return unitary_deviation(self.v_matrix)
 
 
 def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,

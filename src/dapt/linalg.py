@@ -29,11 +29,59 @@ def hermitian_part(samples: np.ndarray) -> np.ndarray:
     return 0.5 * (samples + adjoint)
 
 
+SMALL_INNER = 3               # largest inner dimension stack_matmul sums
+
+
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices (batched on leading axes).
+
+    NumPy runs a complex ``@`` as one zgemm call per matrix, at a few
+    hundred ns each whatever the size. For a complex product whose inner
+    dimension is at most SMALL_INNER the result is instead summed over the
+    inner index, out = sum_j a[..., :, j] (outer) b[..., j, :], in a few
+    whole-stack multiplies and adds that allocate the output and one
+    temporary of its size. It agrees with ``@`` to roundoff. Any other
+    product (a larger inner dimension, two real operands, operands of
+    fewer than two axes, or mismatched inner dimensions, which raise) is
+    ``a @ b`` itself, bit for bit.
+
+    Minimum of 20 to 30 timeit runs on a 2-core host (NumPy 2.4.6,
+    OpenBLAS), complex (n, d, d) stacks:
+
+        stack            @         summed
+        (16001, 2, 2)    4.5-5.8   1.0-1.9 ms
+        (2001, 2, 2)     0.69-0.97 0.12-0.21 ms
+        (4001, 3, 3)     1.3-2.1   0.6-1.0 ms
+        (1001, 4, 4)     0.33-0.54 0.28-0.44 ms
+        (1001, 7, 7)     0.73      1.5 ms
+        (1001, 16, 16)   1.7       23 ms
+
+    Inner dimension 4 is a draw and beyond it ``@`` wins, hence the cutoff
+    of 3. Two real (16001, 2, 2) stacks take 0.6-1.0 ms with ``@`` and
+    1.0-1.6 ms summed, so real products keep ``@``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    inner = a.shape[-1] if a.ndim >= 2 else 0
+    if not (0 < inner <= SMALL_INNER and b.ndim >= 2
+            and b.shape[-2] == inner
+            and (np.iscomplexobj(a) or np.iscomplexobj(b))):
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    if inner > 1:
+        term = np.empty_like(out)
+        for j in range(1, inner):
+            np.multiply(a[..., :, j, None], b[..., None, j, :], out=term)
+            out += term
+    return out
+
+
 def unitary_deviation(u: np.ndarray) -> float:
     """max-entry deviation of U^dagger U from the identity."""
     u = np.asarray(u)
     eye = np.eye(u.shape[-1])
-    return float(np.abs(np.swapaxes(u, -1, -2).conj() @ u - eye).max())
+    gram = stack_matmul(np.swapaxes(u, -1, -2).conj(), u)
+    return float(np.abs(gram - eye).max())
 
 
 def ordered_product(factors: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -54,6 +102,11 @@ def ordered_product(factors: np.ndarray, start: np.ndarray) -> np.ndarray:
     end at the last factor, so nothing is padded or copied: the only
     temporaries are the (blocks, d, d) products. The result agrees with
     the node-by-node recurrence to roundoff, not bit for bit.
+
+    The batched steps go through stack_matmul, although each multiplies
+    only about sqrt(m) matrices: for complex d = 2 the whole product takes
+    1.0 ms instead of 1.7 ms at m = 2000 and 5-7 ms instead of 12-14 ms at
+    m = 16000 (d = 3: 1.6-1.7 ms instead of 1.8-2.0 ms at m = 2000).
     """
     m = factors.shape[0]
     x = np.empty((m + 1,) + start.shape, dtype=np.result_type(factors, start))
@@ -62,11 +115,11 @@ def ordered_product(factors: np.ndarray, start: np.ndarray) -> np.ndarray:
     last = max(m - 1, 0) // b * b          # first factor of the last block
     t = factors[0:last:b]
     for i in range(1, b):
-        t = t @ factors[i:last:b]
+        t = stack_matmul(t, factors[i:last:b])
     for j in range(len(t)):
         x[(j + 1) * b] = x[j * b] @ t[j]
     for i in range(b):
-        x[i + 1::b] = x[i:m:b] @ factors[i::b]
+        x[i + 1::b] = stack_matmul(x[i:m:b], factors[i::b])
     return x
 
 

@@ -11,10 +11,10 @@ closed-form route runs no transport at all.
 
 A velocity point then computes only the phase factors exp(-i omega_n / v),
 one per level, and phase-weighted sums of stored blocks: in a sweep, each
-order is assembled once and shared by the residuals and the corrected
-holonomy, the label-0 row alone where only it is read. Its one other cost
-is the reference state: the model's closed form, or the propagator on the
-file route.
+order is assembled once and shared by the residuals, the margins and the
+corrected holonomy, the label-0 row alone where only it is read. Its one
+other cost is the reference state: the model's closed form, or the
+propagator on the file route.
 """
 import math
 import os
@@ -98,9 +98,14 @@ class Workspace:
         """Single order-p family (without the v^p weight)."""
         return assemble_state(self.blocks[p], self.phases, velocity)
 
-    def margins(self, velocity: float, threshold: float = 0.1) -> ValidityReport:
-        return validity_margins(self.blocks[1].label_row(0), self.phases,
-                                velocity, threshold=threshold)
+    def margins(self, velocity: float, threshold: float = 0.1,
+                terms=()) -> ValidityReport:
+        """Validity margins of the label-0 ground start. ``terms`` may hold
+        this velocity's order-0 and order-1 families (all labels) when they
+        are already assembled; otherwise row 0 of order 1 is assembled."""
+        psi1 = terms[1] if terms else assemble_state(
+            self.blocks[1].label_row(0), self.phases, velocity)
+        return validity_margins(psi1, velocity, threshold=threshold)
 
     def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
         """First-order-corrected ground holonomy. ``terms`` may hold this
@@ -221,12 +226,12 @@ class SweepResult:
 
 def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
     # the reference first, so its temporaries are gone before the terms
-    # exist; orders 0 and 1 serve both the residuals and the corrected
-    # holonomy
+    # exist; orders 0 and 1 serve the residuals, the margins and the
+    # corrected holonomy
     exact = ws.exact(velocity)[0]
     terms = [ws.term(p, velocity) for p in (0, 1)] if ws.order >= 1 else []
     res = ws.series_residuals(velocity, exact=exact, terms=terms)
-    rep = ws.margins(velocity, threshold=threshold)
+    rep = ws.margins(velocity, threshold=threshold, terms=terms)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:
         defect = ws.corrected(velocity, terms=terms).unitarity_deviation()

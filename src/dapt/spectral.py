@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegeneracyChanged, DimensionMismatch, RankDeficientOverlap
 from .grid import Grid
-from .linalg import hermitian_part, ordered_product
+from .linalg import hermitian_part, ordered_product, stack_matmul
 
 MIN_SINGULAR = 1e-6            # smallest accepted frame-overlap singular value
 
@@ -181,7 +181,7 @@ def smooth_gauge(path: SpectralPath) -> SpectralPath:
             raise RankDeficientOverlap(
                 f"level {level}: overlap singular value {low[k]:.3e} "
                 f"below {MIN_SINGULAR:.3e} between nodes {k} and {k + 1}")
-        h = ordered_product(w @ vh, np.eye(b.shape[2]))
-        new_blocks.append(b @ np.swapaxes(h, 1, 2).conj())
+        h = ordered_product(stack_matmul(w, vh), np.eye(b.shape[2]))
+        new_blocks.append(stack_matmul(b, np.swapaxes(h, 1, 2).conj()))
     return SpectralPath(grid=path.grid, energies=path.energies,
                         blocks=tuple(new_blocks))

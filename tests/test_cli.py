@@ -78,6 +78,21 @@ def test_sweep_and_fit_round_trip(in_tmp):
     assert abs(refit["fits"]["order1"]["slope"] - slope) < 1e-12
 
 
+def test_fit_order_rejects_out_csv(in_tmp, capsys):
+    # fit-order writes no CSV, so asking for one is an error, not a no-op
+    vs = ",".join(str(w / (2 * np.pi)) for w in (0.05, 0.1, 0.2, 0.5))
+    assert run("sweep", "--grid-n", "101", "--v-list", vs) == 0
+    cfg = in_tmp / "fit.json"
+    cfg.write_text(json.dumps({"out_csv": "x.csv"}))
+    for extra in (("--out-csv", "x.csv"), ("--config", str(cfg))):
+        capsys.readouterr()
+        assert run("fit-order", "--input", "dapt_sweep.csv",
+                   "--out-json", "fit.out.json", *extra) == 2
+        assert "out_csv" in capsys.readouterr().err
+        assert not (in_tmp / "x.csv").exists()
+        assert not (in_tmp / "fit.out.json").exists()
+
+
 def test_spin_model_selection(in_tmp):
     assert run("evolve", "--model", "spin-half", "--grid-n", "201") == 0
     doc = read_json(in_tmp / "dapt_evolve.json")

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from dapt import (DynamicalPhase, Grid, Workspace, advance_order,
                   couplings_via_frame_derivatives, daa_state,
-                  first_order_blocks, first_order_state, j_integral,
+                  first_order_state, j_integral,
                   series_state, smooth_gauge,
                   snapshot_eigensystem, transport_all, validity_margins,
                   zero_order_blocks)
@@ -204,7 +204,8 @@ def test_margins_with_single_level():
     cs = couplings_via_frame_derivatives(path)
     hols = transport_all(cs)
     ph = DynamicalPhase.from_path(path)
-    rep = validity_margins(first_order_blocks(cs, hols), ph, vel(0.05))
+    v = vel(0.05)
+    rep = validity_margins(first_order_state(cs, hols, ph, v), v)
     assert rep.adiabatic_ok
     assert rep.sup_secular == 0.0
     assert rep.sup_gap == {}

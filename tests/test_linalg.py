@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 from dapt import (NonHermitianInput, NotAntiHermitian, unitary_deviation,
                   unitary_expm)
-from dapt.linalg import hermitian_part, ordered_product
+from dapt.linalg import (SMALL_INNER, hermitian_part, ordered_product,
+                         stack_matmul)
 
 entry = st.floats(min_value=-1.0, max_value=1.0,
                   allow_nan=False, allow_infinity=False)
@@ -161,3 +162,63 @@ def test_ordered_product_matches_loop(m):
         assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
+
+
+def _operand_pairs(rng, inner):
+    """(a, b) stacks with inner dimension ``inner``: rows and columns 1-4,
+    complex, mixed real and complex, real, a transposed (swapaxes) view as
+    CouplingSet.recursion returns it, and a broadcast single left
+    matrix."""
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            yield _complex(rng, 7, rows, inner), _complex(rng, 7, inner, cols)
+            yield rng.normal(size=(7, rows, inner)), \
+                _complex(rng, 7, inner, cols)
+            yield _complex(rng, 7, rows, inner), \
+                rng.normal(size=(7, inner, cols))
+            yield rng.normal(size=(7, rows, inner)), \
+                rng.normal(size=(7, inner, cols))
+            yield _complex(rng, 7, rows, inner), \
+                np.swapaxes(_complex(rng, 7, cols, inner), 1, 2)
+            yield _complex(rng, rows, inner), _complex(rng, 7, inner, cols)
+
+
+@pytest.mark.parametrize("inner", range(1, SMALL_INNER + 1))
+def test_stack_matmul_small_inner_matches_matmul(inner):
+    rng = np.random.default_rng(inner)
+    for a, b in _operand_pairs(rng, inner):
+        want = a @ b
+        got = stack_matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # roundoff relative to the size of the summed terms
+        scale = np.abs(a) @ np.abs(b)
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("inner", [SMALL_INNER + 1, 5, 7, 16])
+def test_stack_matmul_large_inner_is_matmul(inner):
+    # ragged levels of 4, 5 and 7 keep every product bit for bit
+    rng = np.random.default_rng(inner)
+    for a, b in _operand_pairs(rng, inner):
+        assert np.array_equal(stack_matmul(a, b), a @ b)
+
+
+def test_stack_matmul_real_operands_are_matmul():
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=(9, 2, 2)), rng.normal(size=(9, 2, 3))
+    assert np.array_equal(stack_matmul(a, b), a @ b)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((5, 2, 3), (5, 2, 2)),        # inner dimensions differ, small
+    ((5, 2, 2), (5, 3, 2)),
+    ((5, 6, 5), (5, 4, 6)),        # inner dimensions differ, large
+    ((5, 2, 2), (4, 2, 2)),        # leading axes do not broadcast
+])
+def test_stack_matmul_mismatch_raises_like_matmul(a_shape, b_shape):
+    rng = np.random.default_rng(2)
+    a, b = _complex(rng, *a_shape), _complex(rng, *b_shape)
+    with pytest.raises(ValueError):
+        a @ b
+    with pytest.raises(ValueError):
+        stack_matmul(a, b)

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dapt.engine
-from dapt import (ConfigError, Grid, InsufficientSweep, StateFamily,
-                  Workspace, corrected_holonomy, first_order_state,
-                  fit_power_law, hamiltonian_samples, j_integral, propagate,
-                  residual, sweep)
+import dapt.pipeline
+from dapt import (ConfigError, Grid, InsufficientSweep, SpectralPath,
+                  StateFamily, Workspace, corrected_holonomy,
+                  first_order_state, fit_power_law, hamiltonian_samples,
+                  j_integral, propagate, residual, snapshot_eigensystem,
+                  sweep)
 from dapt.pipeline import _sweep_point
 from dapt.spectral import level_slices
 
@@ -242,6 +244,25 @@ def test_sweep_rows_match_per_point_reference(sweep_workspaces, route):
             assert ws.exact(v)[2] == auto.substeps
 
 
+@pytest.mark.parametrize("route", ["gamma", "ragged"])
+def test_sweep_margins_read_the_assembled_first_order(sweep_workspaces,
+                                                      route):
+    # a sweep point reads the margins off its all-label order-1 family, whose
+    # row 0 is the row-0 assembly element for element
+    ws = sweep_workspaces[route]
+    vs = [0.005, 0.01, 0.02, 0.05]
+    for row, v in zip(sweep(ws, vs).rows, vs):
+        alone = ws.margins(v)
+        shared = ws.margins(v, terms=[ws.term(p, v) for p in (0, 1)])
+        assert np.array_equal(
+            [row.margin_secular, row.margin_gap],
+            [alone.sup_secular, max(alone.sup_gap.values())])
+        assert np.array_equal(shared.secular, alone.secular)
+        assert shared.gap.keys() == alone.gap.keys()
+        for n in alone.gap:
+            assert np.array_equal(shared.gap[n], alone.gap[n])
+
+
 def test_velocity_points_run_no_quadrature(sweep_workspaces, monkeypatch):
     # after build, a velocity point pays for phase factors and sums only
     calls = {"j_integral": 0, "cumulative_quadrature": 0}
@@ -316,5 +337,35 @@ def test_change_of_basis_maps_states(ragged_ws, seed, w):
     q = _label_rotation(rotated, u @ ws.path.blocks[0][0])
     psi = np.einsum("khi,hj->kji", ws.series(v).vectors(ws.path), q)
     want = np.einsum("ij,khj->khi", u, psi)
+    got = rotated.series(v).vectors(rotated.path)
+    assert np.abs(got - want).max() < 1e-10
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       w=st.floats(min_value=0.05, max_value=0.5))
+@settings(max_examples=10, deadline=None)
+def test_in_level_rotation_per_node_leaves_states(ragged_ws, seed, w):
+    # the eigensolver's frames, rotated inside each level by a different
+    # unitary at every node before gauge fixing, give the same series
+    # states: gauge fixing turns the rotations into one constant rotation
+    # per level, which only the s = 0 ground frame's labels see
+    samples, ws = ragged_ws
+    rng = np.random.default_rng(seed)
+    raw = snapshot_eigensystem(samples, ws.grid)
+    blocks = []
+    for b in raw.blocks:
+        shape = (ws.grid.n, b.shape[2], b.shape[2])
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        blocks.append(b @ np.linalg.qr(x)[0])
+    scrambled = SpectralPath(grid=raw.grid, energies=raw.energies,
+                             blocks=tuple(blocks))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dapt.pipeline, "snapshot_eigensystem",
+                   lambda *args, **kwargs: scrambled)
+        rotated = Workspace.build(samples=samples, grid=ws.grid, order=2)
+    assert not np.allclose(rotated.path.blocks[0][0], ws.path.blocks[0][0])
+    v = vel(w)
+    q = _label_rotation(rotated, ws.path.blocks[0][0])
+    want = np.einsum("khi,hj->kji", ws.series(v).vectors(ws.path), q)
     got = rotated.series(v).vectors(rotated.path)
     assert np.abs(got - want).max() < 1e-10
