@@ -11,8 +11,17 @@ holonomies, so the recursion runs no transport of its own.
 The series starts in the degenerate ground level (level 0): initial-condition
 label h is the state that starts on ground frame column h at s = 0.
 
-Block layout: B^(p)[(m, n)] has shape (n_nodes, d_0, d_n). The column axis
-is ragged (level n's degeneracy); the rows are the d_0 ground labels.
+Block layout: one order's blocks are one array, ``CorrectionBlocks.data``
+of shape (n_levels, d_0, dim, n_nodes), with the node index fastest in
+memory. Row data[m, h] holds the blocks of source level m for ground label
+h, their columns concatenated over the levels n; order 0, whose only
+nonzero block is B_00, stores source level 0 alone. B^(p)[(m, n)] =
+``block(m, n)`` is the view of level n's columns with the nodes moved first,
+shape (n_nodes, d_0, d_n): the public shape, without a copy. Phase
+integrals (DynamicalPhase.omega) and assembled coefficients
+(StateFamily.coefficients) keep their node-first shapes over the same kind
+of memory, so assembling an order at one velocity is a few multiplies and
+adds of whole n_nodes-long rows, sum_m exp(-i omega_m / v) data[m].
 """
 from dataclasses import dataclass, replace
 
@@ -29,7 +38,11 @@ class DynamicalPhase:
     """Accumulated phase integrals omega_n(s) = int_0^s E_n ds', per level."""
 
     grid: Grid
-    omega: np.ndarray          # (n_nodes, n_levels)
+    omega: np.ndarray          # (n_nodes, n_levels), node index fastest
+
+    def __post_init__(self):
+        # one level's phases are one contiguous row (no copy when they are)
+        object.__setattr__(self, "omega", np.asfortranarray(self.omega))
 
     @classmethod
     def from_path(cls, path: SpectralPath) -> "DynamicalPhase":
@@ -38,7 +51,8 @@ class DynamicalPhase:
 
     def factors(self, velocity: float) -> np.ndarray:
         """Phase factors exp(-i omega_n(s) / v) on the grid, shape
-        (n_nodes, n_levels): one exponential per level."""
+        (n_nodes, n_levels) with the node index fastest: one exponential
+        per level."""
         return np.exp(-1j * self.omega / velocity)
 
 
@@ -48,7 +62,8 @@ class StateFamily:
 
     ``coefficients[k, h, j]`` is the amplitude of snapshot basis ket j
     (levels concatenated in order) for initial-condition label h at node k,
-    dynamical phases included.
+    dynamical phases included. Assembled families hold a view of
+    (labels, dim, n_nodes) memory, the node index fastest.
     """
 
     order: int
@@ -69,34 +84,58 @@ class StateFamily:
 
 @dataclass(frozen=True)
 class CorrectionBlocks:
-    """Velocity-free expansion blocks B^(p) for every ordered level pair."""
+    """Velocity-free expansion blocks B^(p) for every ordered level pair,
+    stored node-contiguous (see the module's block layout). ``zero`` names
+    the pairs (m, n) whose block is known to vanish identically; the
+    recursion and the assembly skip them."""
 
     order: int
     grid: Grid
     dims: tuple
-    labels: int
-    blocks: dict               # (m, n) -> (n_nodes, labels, d_n)
+    data: np.ndarray           # (source levels, labels, dim, n_nodes)
+    zero: frozenset = frozenset()
+
+    @classmethod
+    def zeros(cls, order: int, grid: Grid, dims: tuple, labels: int,
+              zero=frozenset()) -> "CorrectionBlocks":
+        """All-zero blocks to be filled through ``block`` views. Source
+        levels past the last one with a block outside ``zero`` are not
+        stored."""
+        levels = range(len(dims))
+        sources = 1 + max((m for m in levels for n in levels
+                           if (m, n) not in zero), default=-1)
+        data = np.zeros((sources, labels, sum(dims), grid.n), dtype=complex)
+        return cls(order=order, grid=grid, dims=dims, data=data,
+                   zero=frozenset(zero))
+
+    @property
+    def labels(self) -> int:
+        return self.data.shape[1]
 
     def block(self, m: int, n: int) -> np.ndarray:
-        return self.blocks[(m, n)]
+        """B_{mn}, shape (n_nodes, labels, d_n): a view of ``data``, or a
+        read-only broadcast zero for a source level that is not stored."""
+        if m >= len(self.data):
+            return np.broadcast_to(np.zeros((), dtype=complex),
+                                   (self.grid.n, self.labels, self.dims[n]))
+        return np.moveaxis(self.data[m, :, level_slices(self.dims)[n]],
+                           -1, 0)
 
     def label_row(self, h: int) -> "CorrectionBlocks":
-        """Copies of row h alone (initial-condition label h), labels = 1;
-        assembling them gives that label's coefficients and nothing else."""
-        return replace(self, labels=1, blocks={
-            key: b[:, h:h + 1].copy() for key, b in self.blocks.items()})
+        """Row h alone (initial-condition label h), labels = 1, as a view;
+        assembling it gives that label's coefficients and nothing else."""
+        return replace(self, data=self.data[:, h:h + 1])
 
 
 def zero_order_blocks(cs, holonomies) -> CorrectionBlocks:
     """Order-0 blocks of the ground start: B_00 = U^0(s), every other block
-    zero (a read-only broadcast of one zero, which holds no memory)."""
+    zero; only source level 0 is stored."""
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
-    zero = np.zeros((), dtype=complex)
-    blocks = {(m, n): np.broadcast_to(zero, (cs.grid.n, dims[0], dims[n]))
-              for m in range(cs.n_levels) for n in range(cs.n_levels)}
-    blocks[(0, 0)] = holonomies[0].u
-    return CorrectionBlocks(order=0, grid=cs.grid, dims=dims, labels=dims[0],
-                            blocks=blocks)
+    levels = range(cs.n_levels)
+    out = CorrectionBlocks.zeros(0, cs.grid, dims, dims[0], {
+        (m, n) for m in levels for n in levels} - {(0, 0)})
+    out.block(0, 0)[...] = holonomies[0].u
+    return out
 
 
 def transport_steps(cs) -> list:
@@ -124,47 +163,86 @@ def advance_order(blocks: CorrectionBlocks, cs,
     from the s = 0 matching value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0).
     A zero-source diagonal block is the holonomy itself, so whatever
     accuracy the holonomies carry (closed form or transported) reaches
-    every order.
+    every order. Terms of blocks known to vanish are skipped, and a block
+    with no remaining term is known to vanish at the next order.
     """
     levels = range(cs.n_levels)
-    new = {}
+    live = {(m, n) for m in levels for n in levels} - blocks.zero
+    new = CorrectionBlocks.zeros(blocks.order + 1, blocks.grid, blocks.dims,
+                                 blocks.labels)
+    new_live = set()
     for m in levels:
         for n in levels:
-            if m == n:
+            terms = [k for k in levels if (m, k) in live]
+            if m == n or ((m, n) not in live and not terms):
                 continue
-            source = central_derivative(blocks.block(m, n), cs.grid)
-            for k in levels:
+            source = 0.0
+            if (m, n) in live:
+                source = central_derivative(blocks.block(m, n), cs.grid)
+            for k in terms:
                 source = source + stack_matmul(blocks.block(m, k),
                                                cs.recursion(k, n))
             delta = cs.gap(m, n)[:, None, None]
-            new[(m, n)] = (-1j / delta) * source
+            np.multiply(-1j / delta, source, out=new.block(m, n))
+            new_live.add((m, n))
 
     for n in levels:
-        # zero-array sum starts keep a single-level path (no sources) working
-        zero = np.zeros(blocks.block(n, n).shape, dtype=complex)
-        g = sum((stack_matmul(new[(n, k)], cs.recursion(k, n))
-                 for k in levels if k != n), zero)
-        start = -sum((new[(m, n)][0] for m in levels if m != n), zero[0])
+        sources = [k for k in levels if (n, k) in new_live]
+        starts = [m for m in levels if (m, n) in new_live]
+        if not (sources or starts):
+            continue                # no source and no start: stays zero
+        start = -sum((new.block(m, n)[0] for m in starts),
+                     np.zeros(new.block(n, n).shape[1:], dtype=complex))
         u = holonomies[n].u
         u_dag = np.swapaxes(u, 1, 2).conj()
-        integral = cumulative_quadrature(stack_matmul(g, u_dag), cs.grid)
-        new[(n, n)] = stack_matmul(start @ u_dag[0] - integral, u)
-    return CorrectionBlocks(order=blocks.order + 1, grid=blocks.grid,
-                            dims=blocks.dims, labels=blocks.labels, blocks=new)
+        x = start @ u_dag[0]
+        if sources:
+            g = sum(stack_matmul(new.block(n, k), cs.recursion(k, n))
+                    for k in sources)
+            x = x - cumulative_quadrature(stack_matmul(g, u_dag), cs.grid)
+        new.block(n, n)[...] = stack_matmul(x, u)
+        new_live.add((n, n))
+    return replace(new, zero=frozenset(
+        {(m, n) for m in levels for n in levels} - new_live))
+
+
+def _assemble(blocks: CorrectionBlocks, rows: np.ndarray) -> np.ndarray:
+    """sum_m rows[m] * data[m]: coefficients of shape (labels, dim,
+    n_nodes), one order at one velocity from its phase-factor rows
+    (n_levels, n_nodes). Source levels whose blocks all vanish are
+    skipped."""
+    levels = range(len(blocks.dims))
+    sources = [m for m in levels
+               if any((m, n) not in blocks.zero for n in levels)]
+    if not sources:
+        return np.zeros(blocks.data.shape[1:], dtype=complex)
+    coeff = rows[sources[0]] * blocks.data[sources[0]]
+    if len(sources) > 1:
+        term = np.empty_like(coeff)
+        for m in sources[1:]:
+            np.multiply(rows[m], blocks.data[m], out=term)
+            coeff += term
+    return coeff
+
+
+def _family(order: int, blocks: CorrectionBlocks,
+            coeff: np.ndarray) -> StateFamily:
+    return StateFamily(order=order, grid=blocks.grid, dims=blocks.dims,
+                       coefficients=np.moveaxis(coeff, -1, 0))
+
+
+def assemble_terms(block_list, phases: DynamicalPhase,
+                   velocity: float) -> list:
+    """One StateFamily per order of ``block_list``, each
+    sum_m e^{-i omega_m / v} B_{mn}, from one phase exponential."""
+    rows = phases.factors(velocity).T
+    return [_family(b.order, b, _assemble(b, rows)) for b in block_list]
 
 
 def assemble_state(blocks: CorrectionBlocks, phases: DynamicalPhase,
                    velocity: float) -> StateFamily:
     """Snapshot coefficients of one order: sum_m e^{-i omega_m / v} B_{mn}."""
-    n_nodes = blocks.grid.n
-    dim = sum(blocks.dims)
-    factors = phases.factors(velocity)
-    coeff = np.zeros((n_nodes, blocks.labels, dim), dtype=complex)
-    for n, sl in enumerate(level_slices(blocks.dims)):
-        for m in range(len(blocks.dims)):
-            coeff[:, :, sl] += factors[:, m, None, None] * blocks.block(m, n)
-    return StateFamily(order=blocks.order, grid=blocks.grid, dims=blocks.dims,
-                       coefficients=coeff)
+    return assemble_terms([blocks], phases, velocity)[0]
 
 
 def series_state(block_list, phases: DynamicalPhase, velocity: float,
@@ -172,13 +250,11 @@ def series_state(block_list, phases: DynamicalPhase, velocity: float,
     """Partial sum sum_{p <= order} v^p psi^(p) as one StateFamily."""
     if order is None:
         order = len(block_list) - 1
-    total = None
-    for p in range(order + 1):
-        fam = assemble_state(block_list[p], phases, velocity)
-        term = (velocity ** p) * fam.coefficients
-        total = term if total is None else total + term
-    return StateFamily(order=order, grid=phases.grid,
-                       dims=block_list[0].dims, coefficients=total)
+    rows = phases.factors(velocity).T
+    total = _assemble(block_list[0], rows)
+    for p in range(1, order + 1):
+        total += (velocity ** p) * _assemble(block_list[p], rows)
+    return _family(order, block_list[0], total)
 
 
 def daa_state(cs, holonomies, phases: DynamicalPhase,
@@ -212,18 +288,16 @@ def first_order_blocks(cs, holonomies) -> CorrectionBlocks:
     """
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     levels = range(cs.n_levels)
-    blocks = {(m, n): np.zeros((cs.grid.n, dims[0], dims[n]), dtype=complex)
-              for m in levels for n in levels}
+    out = CorrectionBlocks.zeros(1, cs.grid, dims, dims[0])
     u_0 = holonomies[0].u
     for n in levels[1:]:
         u_n = holonomies[n].u
         delta_n0 = cs.gap(n, 0)[:, None, None]
         w1_0 = u_0[0] @ cs.recursion(0, n)[0] @ u_n[0].conj().T
-        blocks[(0, 0)] += 1j * (j_integral(cs, holonomies, 0, n) @ u_0)
-        blocks[(n, n)] += -1j * (w1_0 @ u_n) / delta_n0[0]
-        blocks[(0, n)] += 1j * (u_0 @ cs.recursion(0, n)) / delta_n0
-    return CorrectionBlocks(order=1, grid=cs.grid, dims=dims, labels=dims[0],
-                            blocks=blocks)
+        out.block(0, 0)[...] += 1j * (j_integral(cs, holonomies, 0, n) @ u_0)
+        out.block(n, n)[...] += -1j * (w1_0 @ u_n) / delta_n0[0]
+        out.block(0, n)[...] += 1j * (u_0 @ cs.recursion(0, n)) / delta_n0
+    return out
 
 
 def first_order_state(cs, holonomies, phases: DynamicalPhase,

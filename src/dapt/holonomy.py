@@ -1,5 +1,6 @@
 """Non-Abelian (Wilczek-Zee) holonomy transport and its velocity correction."""
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,19 +74,40 @@ class CorrectedHolonomy:
     v_matrix : ndarray, shape (n, labels, d)
         Ground-projected coefficient matrix of the order-truncated state
         with the dynamical phase removed; reduces to the bare holonomy as
-        v -> 0. Not exactly unitary: its defect grows like v^2.
-    population : ndarray, shape (n, labels)
-        Probability weight remaining in the ground level after normalization.
-    correction : ndarray, shape (n,), complex
-        Scalar correction factor extracted from V U^dagger (the deviation
-        of its mean diagonal from 1, divided by v).
+        v -> 0. Not exactly unitary: its defect grows like v^2. A view of
+        node-contiguous memory.
+    terms : tuple of ndarray, shape (n, labels, dim) each
+        Snapshot coefficients of psi^(0) and psi^(1), as given.
+    holonomy : ndarray, shape (n, d, d)
+        The bare ground holonomy U.
     velocity : float
+
+    ``population`` and ``correction`` are computed when first read.
     """
 
     v_matrix: np.ndarray
-    population: np.ndarray
-    correction: np.ndarray
+    terms: tuple
+    holonomy: np.ndarray
     velocity: float
+
+    @cached_property
+    def population(self) -> np.ndarray:
+        """Probability weight remaining in the ground level after
+        normalization, shape (n, labels)."""
+        c0, c1 = self.terms
+        total = c0 + self.velocity * c1
+        sl = slice(0, self.v_matrix.shape[2])
+        norms = np.linalg.norm(total, axis=2)
+        return (np.linalg.norm(total[:, :, sl], axis=2) / norms) ** 2
+
+    @cached_property
+    def correction(self) -> np.ndarray:
+        """Scalar correction factor extracted from V U^dagger (the deviation
+        of its mean diagonal from 1, divided by v), shape (n,), complex."""
+        u_dag = np.swapaxes(self.holonomy, 1, 2).conj()
+        d = self.v_matrix.shape[2]
+        overlap = np.einsum("kij,kji->k", self.v_matrix[:, :d, :], u_dag) / d
+        return (overlap - 1.0) / self.velocity
 
     def unitarity_deviation(self) -> float:
         return unitary_deviation(self.v_matrix)
@@ -115,16 +137,9 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
         raise NotGroundStart(
             f"zeroth order has weight {outside.max():.3e} outside level 0 at s=0")
 
-    total = c0 + velocity * c1
+    # only the ground columns of psi^(0) + v psi^(1), as rows over the nodes
+    ground = np.moveaxis(c0[:, :, sl] + velocity * c1[:, :, sl], 0, -1)
     phase_back = np.exp(1j * phases.omega[:, 0] / velocity)
-    v_matrix = phase_back[:, None, None] * total[:, :, sl]
-
-    norms = np.linalg.norm(total, axis=2)
-    population = (np.linalg.norm(total[:, :, sl], axis=2) / norms) ** 2
-
-    u_dag = np.swapaxes(holonomy.u, 1, 2).conj()
-    d = v_matrix.shape[2]
-    overlap = np.einsum("kij,kji->k", v_matrix[:, :d, :], u_dag) / d
-    correction = (overlap - 1.0) / velocity
-    return CorrectedHolonomy(v_matrix=v_matrix, population=population,
-                             correction=correction, velocity=velocity)
+    return CorrectedHolonomy(v_matrix=np.moveaxis(phase_back * ground, -1, 0),
+                             terms=(c0, c1), holonomy=holonomy.u,
+                             velocity=velocity)

@@ -10,11 +10,17 @@ first-order blocks, so order 1 is built even for an order-0 workspace. The
 closed-form route runs no transport at all.
 
 A velocity point then computes only the phase factors exp(-i omega_n / v),
-one per level, and phase-weighted sums of stored blocks: in a sweep, each
-order is assembled once and shared by the residuals, the margins and the
-corrected holonomy, the label-0 row alone where only it is read. Its one
-other cost is the reference state: the model's closed form, or the
-propagator on the file route.
+one per level, and phase-weighted sums of stored blocks: in a sweep, every
+order is assembled once, from one phase exponential, and shared by the
+residuals, the margins and the corrected holonomy. Its one other cost is
+the reference state: the model's closed form, or the propagator on the
+file route.
+
+The blocks, the phase integrals and the assembled families keep the node
+index fastest in memory (see dapt.engine), so these sums, the residual
+norms and the unitarity defect run over whole rows of n_nodes entries.
+Their public shapes stay node-first; the snapshot basis keeps node-first
+memory.
 """
 import math
 import os
@@ -25,8 +31,8 @@ import numpy as np
 
 from .couplings import couplings_from_path
 from .engine import (DynamicalPhase, StateFamily, ValidityReport,
-                     advance_order, assemble_state, series_state,
-                     validity_margins, zero_order_blocks)
+                     advance_order, assemble_state, assemble_terms,
+                     series_state, validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
 from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
@@ -98,25 +104,31 @@ class Workspace:
         """Single order-p family (without the v^p weight)."""
         return assemble_state(self.blocks[p], self.phases, velocity)
 
+    def terms(self, velocity: float) -> list:
+        """The families of orders 0..order (all labels, without the v^p
+        weights), assembled from one phase exponential."""
+        return assemble_terms(self.blocks[:self.order + 1], self.phases,
+                              velocity)
+
     def margins(self, velocity: float, threshold: float = 0.1,
                 terms=()) -> ValidityReport:
         """Validity margins of the label-0 ground start. ``terms`` may hold
-        this velocity's order-0 and order-1 families (all labels) when they
+        this velocity's families of orders 0, 1, ... (all labels) when they
         are already assembled; otherwise row 0 of order 1 is assembled."""
-        psi1 = terms[1] if terms else assemble_state(
+        psi1 = terms[1] if len(terms) > 1 else assemble_state(
             self.blocks[1].label_row(0), self.phases, velocity)
         return validity_margins(psi1, velocity, threshold=threshold)
 
     def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
         """First-order-corrected ground holonomy. ``terms`` may hold this
-        velocity's order-0 and order-1 families (all labels) when they are
+        velocity's families of orders 0, 1, ... (all labels) when they are
         already assembled."""
         if self.order < 1:
             raise ConfigError("corrected holonomy needs order >= 1")
-        psi0, psi1 = terms[:2] if terms else (self.term(0, velocity),
-                                              self.term(1, velocity))
-        return corrected_holonomy(psi0, psi1, self.phases, self.holonomies[0],
-                                  velocity)
+        if len(terms) < 2:
+            terms = assemble_terms(self.blocks[:2], self.phases, velocity)
+        return corrected_holonomy(terms[0], terms[1], self.phases,
+                                  self.holonomies[0], velocity)
 
     def start_vector(self, label: int = 0) -> np.ndarray:
         """Ground-frame column ``label`` at s = 0."""
@@ -147,22 +159,25 @@ class Workspace:
                          exact=None, terms=()) -> list:
         """Sup-norm mismatch of each partial sum against the reference.
 
-        The partial sums are accumulated term by term, so each order is
-        assembled once, for row ``label`` alone. ``terms`` may hold this
-        velocity's leading families (all labels) when they are already
-        assembled; those orders are read from them instead."""
+        The partial sums are accumulated term by term in state space, so
+        each order is assembled once, for row ``label`` alone. ``terms``
+        may hold this velocity's leading families (all labels) when they
+        are already assembled; those orders are read from them instead."""
         if exact is None:
             exact = self.exact(velocity, label=label)[0]
+        rows = [t.coefficients[:, label] for t in terms[:self.order + 1]]
+        if len(rows) <= self.order:
+            rows += [t.coefficients[:, 0] for t in assemble_terms(
+                [b.label_row(label)
+                 for b in self.blocks[len(rows):self.order + 1]],
+                self.phases, velocity)]
         out = []
-        psi = 0.0
-        for p in range(self.order + 1):
-            if p < len(terms):
-                row = terms[p].coefficients[:, label:label + 1]
-            else:
-                row = assemble_state(self.blocks[p].label_row(label),
-                                     self.phases, velocity).coefficients
-            term = np.einsum("kij,khj->khi", self.path.basis(), row)[:, 0, :]
-            psi = psi + velocity ** p * term
+        for p, row in enumerate(rows):
+            term = np.einsum("kij,kj->ki", self.path.basis(), row)
+            if p:
+                term *= velocity ** p
+                term += psi
+            psi = term
             out.append(residual(psi, exact))
         return out
 
@@ -226,11 +241,13 @@ class SweepResult:
 
 def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
     # the reference first, so its temporaries are gone before the terms
-    # exist; orders 0 and 1 serve the residuals, the margins and the
-    # corrected holonomy
+    # exist; every order's family serves the residuals, and orders 0 and 1
+    # then the margins and the corrected holonomy, after the reference and
+    # the higher orders are freed
     exact = ws.exact(velocity)[0]
-    terms = [ws.term(p, velocity) for p in (0, 1)] if ws.order >= 1 else []
+    terms = ws.terms(velocity)
     res = ws.series_residuals(velocity, exact=exact, terms=terms)
+    del exact, terms[2:]
     rep = ws.margins(velocity, threshold=threshold, terms=terms)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:

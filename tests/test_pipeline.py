@@ -244,6 +244,47 @@ def test_sweep_rows_match_per_point_reference(sweep_workspaces, route):
             assert ws.exact(v)[2] == auto.substeps
 
 
+def _node_contiguous_view(view, owner, n_nodes):
+    """view has node-first shape over memory of owner, whose last axis is
+    the node index and is contiguous."""
+    item = view.itemsize
+    return (view.shape[0] == n_nodes and view.strides[0] == item
+            and owner.shape[-1] == n_nodes and owner.strides[-1] == item
+            and np.shares_memory(view, owner))
+
+
+@pytest.mark.parametrize("route", ["gamma", "spin", "ragged"])
+def test_blocks_and_families_are_node_contiguous(sweep_workspaces, route):
+    # each order's blocks are one array with the node index fastest; the
+    # blocks, the label rows and the assembled families are views of such
+    # memory and equal the node-first reference assembly
+    ws = sweep_workspaces[route]
+    n_nodes, levels = ws.grid.n, range(ws.path.n_levels)
+    v = 0.01
+    assert _node_contiguous_view(ws.phases.omega, ws.phases.omega.T, n_nodes)
+    families = ws.terms(v)
+    assert len(families) == ws.order + 1
+    for blocks, fam in zip(ws.blocks, families):
+        for m in levels:
+            for n in levels:
+                b = blocks.block(m, n)
+                assert b.shape == (n_nodes, ws.path.dims[0],
+                                   ws.path.dims[n])
+                if m < len(blocks.data):
+                    assert _node_contiguous_view(b, blocks.data, n_nodes)
+                else:       # an unstored source level (order 0) vanishes
+                    assert (m, n) in blocks.zero and not b.any()
+        row = blocks.label_row(1 if blocks.labels > 1 else 0)
+        assert np.shares_memory(row.data, blocks.data)
+        c = fam.coefficients
+        assert c.shape == (n_nodes, blocks.labels, ws.path.dim)
+        assert _node_contiguous_view(c, c.base, n_nodes)
+        want = _reference_assemble(blocks, ws.phases, v)
+        assert np.abs(c - want).max() <= 1e-15 * np.abs(want).max()
+    corr = ws.corrected(v, terms=families)
+    assert _node_contiguous_view(corr.v_matrix, corr.v_matrix.base, n_nodes)
+
+
 @pytest.mark.parametrize("route", ["gamma", "ragged"])
 def test_sweep_margins_read_the_assembled_first_order(sweep_workspaces,
                                                       route):
