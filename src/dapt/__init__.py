@@ -5,11 +5,14 @@ degenerate: snapshot eigensystems, non-Abelian (Wilczek-Zee) holonomies,
 the degenerate adiabatic approximation, order-by-order non-adiabatic
 corrections, adiabaticity validity margins, and an exact reference
 propagator, plus two benchmark models with closed-form solutions.
+
+The independent references the order recursion is tested against (the
+closed-form first-order blocks, the J-integral, the order-0 family and the
+frame-derivative couplings) live with the tests, in tests/oracles.py.
 """
-from .couplings import couplings_from_path, couplings_via_frame_derivatives
-from .engine import (DynamicalPhase, StateFamily, advance_order, daa_state,
-                     first_order_blocks, first_order_state, j_integral,
-                     series_state, validity_margins, zero_order_blocks)
+from .couplings import couplings_from_path
+from .engine import (DynamicalPhase, StateFamily, advance_order, series_state,
+                     validity_margins, zero_order_blocks)
 from .errors import (ConfigError, DaptError, DegeneracyChanged,
                      DimensionMismatch, GapCollapse, GridTooSmall,
                      InsufficientSweep, NonHermitianInput, NotAntiHermitian,
@@ -35,12 +38,10 @@ __all__ = [
     "NotAntiHermitian", "NotGroundStart", "PI", "RankDeficientOverlap",
     "SpectralPath", "SpinHalfModel", "StateFamily", "StepTooLarge",
     "Workspace", "advance_order", "central_derivative", "corrected_holonomy",
-    "couplings_from_path", "couplings_via_frame_derivatives",
-    "cumulative_quadrature", "daa_state", "first_order_blocks",
-    "first_order_state", "fit_power_law", "hamiltonian_samples",
-    "j_integral", "propagate", "read_csv", "read_hamiltonian", "residual",
-    "series_state", "smooth_gauge", "snapshot_eigensystem", "sweep",
-    "transport_all", "unitary_deviation", "unitary_expm", "validity_margins",
-    "write_csv", "write_hamiltonian", "write_summary", "wz_transport",
-    "zero_order_blocks",
+    "couplings_from_path", "cumulative_quadrature", "fit_power_law",
+    "hamiltonian_samples", "propagate", "read_csv", "read_hamiltonian",
+    "residual", "series_state", "smooth_gauge", "snapshot_eigensystem",
+    "sweep", "transport_all", "unitary_deviation", "unitary_expm",
+    "validity_margins", "write_csv", "write_hamiltonian", "write_summary",
+    "wz_transport", "zero_order_blocks",
 ]

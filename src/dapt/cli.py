@@ -96,8 +96,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or bytes that are not text
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: must hold a JSON object, "
+                              f"not {type(loaded).__name__}")
         unknown = set(loaded) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

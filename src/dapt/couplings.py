@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GapCollapse
+from .errors import GapCollapse
 from .grid import Grid, central_derivative
 from .spectral import SpectralPath, hamiltonian_samples
 
@@ -63,16 +63,6 @@ class CouplingSet:
         return self.energies[:, m] - self.energies[:, n]
 
 
-def _resolve_dh(path: SpectralPath, dh, h) -> np.ndarray:
-    if dh is not None:
-        if callable(dh):
-            return np.stack([np.asarray(dh(s), dtype=complex) for s in path.grid.s])
-        return np.asarray(dh, dtype=complex)
-    if h is None:
-        raise DimensionMismatch("need dh or h to build off-diagonal couplings")
-    return central_derivative(hamiltonian_samples(h, path.grid), path.grid)
-
-
 def _check_gaps(path: SpectralPath, gap_floor) -> float:
     scale = np.abs(path.energies).max()
     floor = 1e-6 * max(scale, 1.0) if gap_floor is None else gap_floor
@@ -88,19 +78,21 @@ def _check_gaps(path: SpectralPath, gap_floor) -> float:
     return floor
 
 
-def couplings_from_path(path: SpectralPath, dh=None, h=None,
+def couplings_from_path(path: SpectralPath, h,
                         gap_floor: float = None) -> CouplingSet:
     """Standard coupling construction.
 
-    Off-diagonal pairs use the gap formula with the Hamiltonian derivative
-    (``dh`` callable/samples in d/ds units, or ``h`` to differentiate
-    numerically); the intra-level connection uses frame derivatives.
+    Off-diagonal pairs use the gap formula with the numerical derivative
+    of the Hamiltonian ``h`` (callable s -> (dim, dim) or samples
+    (n, dim, dim), as for snapshot_eigensystem); the intra-level
+    connection uses frame derivatives.
 
     Raises GapCollapse if any inter-level gap dips below ``gap_floor``
     (default 1e-6 * max(1, |E|_max)).
     """
     _check_gaps(path, gap_floor)
-    dh_samples = _resolve_dh(path, dh, h)
+    dh_samples = central_derivative(hamiltonian_samples(h, path.grid),
+                                    path.grid)
     mats = {}
     for n in range(path.n_levels):
         bn_dag = np.swapaxes(path.blocks[n], 1, 2).conj()
@@ -114,17 +106,3 @@ def couplings_from_path(path: SpectralPath, dh=None, h=None,
         mats[(n, n)] = np.swapaxes(path.blocks[n], 1, 2).conj() @ dblock
     return CouplingSet(grid=path.grid, energies=path.energies, matrices=mats)
 
-
-def couplings_via_frame_derivatives(path: SpectralPath) -> CouplingSet:
-    """All pairs by direct frame differentiation <n^h | d/ds k^g>.
-
-    Independent of any Hamiltonian derivative; useful as a cross-check of
-    the gap-formula route. Accuracy is set by the derivative stencil.
-    """
-    dblocks = [central_derivative(b, path.grid) for b in path.blocks]
-    mats = {}
-    for n in range(path.n_levels):
-        bn_dag = np.swapaxes(path.blocks[n], 1, 2).conj()
-        for k in range(path.n_levels):
-            mats[(n, k)] = bn_dag @ dblocks[k]
-    return CouplingSet(grid=path.grid, energies=path.energies, matrices=mats)

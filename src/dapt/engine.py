@@ -121,11 +121,6 @@ class CorrectionBlocks:
         return np.moveaxis(self.data[m, :, level_slices(self.dims)[n]],
                            -1, 0)
 
-    def label_row(self, h: int) -> "CorrectionBlocks":
-        """Row h alone (initial-condition label h), labels = 1, as a view;
-        assembling it gives that label's coefficients and nothing else."""
-        return replace(self, data=self.data[:, h:h + 1])
-
 
 def zero_order_blocks(cs, holonomies) -> CorrectionBlocks:
     """Order-0 blocks of the ground start: B_00 = U^0(s), every other block
@@ -239,12 +234,6 @@ def assemble_terms(block_list, phases: DynamicalPhase,
     return [_family(b.order, b, _assemble(b, rows)) for b in block_list]
 
 
-def assemble_state(blocks: CorrectionBlocks, phases: DynamicalPhase,
-                   velocity: float) -> StateFamily:
-    """Snapshot coefficients of one order: sum_m e^{-i omega_m / v} B_{mn}."""
-    return assemble_terms([blocks], phases, velocity)[0]
-
-
 def series_state(block_list, phases: DynamicalPhase, velocity: float,
                  order: int = None) -> StateFamily:
     """Partial sum sum_{p <= order} v^p psi^(p) as one StateFamily."""
@@ -257,63 +246,12 @@ def series_state(block_list, phases: DynamicalPhase, velocity: float,
     return _family(order, block_list[0], total)
 
 
-def daa_state(cs, holonomies, phases: DynamicalPhase,
-              velocity: float) -> StateFamily:
-    """Degenerate adiabatic approximation (order 0) of the ground start."""
-    return assemble_state(zero_order_blocks(cs, holonomies), phases, velocity)
-
-
-def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
-    """Running integral J^{nmn}(s) = int_0^s W2^{nmn} / Delta_nm ds'.
-
-    W2^{nmn} = U^n R^{nm} R^{mn} U^n-dagger with R the recursion coupling;
-    shape (n_nodes, d_n, d_n). Composite-Simpson accumulation.
-    """
-    u = holonomies[n].u
-    u_dag = np.swapaxes(u, 1, 2).conj()
-    w2 = u @ cs.recursion(n, m) @ cs.recursion(m, n) @ u_dag
-    integrand = w2 / cs.gap(n, m)[:, None, None]
-    return cumulative_quadrature(integrand, cs.grid)
-
-
-def first_order_blocks(cs, holonomies) -> CorrectionBlocks:
-    """Closed-form first-order blocks of the ground start (independent of
-    advance_order).
-
-    The three first-order contributions in the CorrectionBlocks layout:
-    block (0, 0) holds the secular J-integral piece inside the ground
-    level, block (n, n) the s = 0 matching piece and block (0, n) the
-    instantaneous mixing piece of excited level n. Velocity-free like every
-    block; their assembly psi^(1) vanishes at s = 0 by construction.
-    """
-    dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
-    levels = range(cs.n_levels)
-    out = CorrectionBlocks.zeros(1, cs.grid, dims, dims[0])
-    u_0 = holonomies[0].u
-    for n in levels[1:]:
-        u_n = holonomies[n].u
-        delta_n0 = cs.gap(n, 0)[:, None, None]
-        w1_0 = u_0[0] @ cs.recursion(0, n)[0] @ u_n[0].conj().T
-        out.block(0, 0)[...] += 1j * (j_integral(cs, holonomies, 0, n) @ u_0)
-        out.block(n, n)[...] += -1j * (w1_0 @ u_n) / delta_n0[0]
-        out.block(0, n)[...] += 1j * (u_0 @ cs.recursion(0, n)) / delta_n0
-    return out
-
-
-def first_order_state(cs, holonomies, phases: DynamicalPhase,
-                      velocity: float) -> StateFamily:
-    """Closed-form first-order family psi^(1): first_order_blocks assembled
-    at one velocity."""
-    return assemble_state(first_order_blocks(cs, holonomies), phases,
-                          velocity)
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Adiabaticity margins for a ground-level start (label 0).
 
     The margins are the first-order term v psi^(1) of the label-0 ground
-    start (see first_order_state), in modulus and split by level:
+    start, in modulus and split by level:
     ``secular`` is its part inside the ground level (the J-integral
     piece, one column per ground in-level label), ``gap[n]`` its part in
     excited level n (the mixing and s = 0 matching pieces). Both are full
@@ -340,10 +278,8 @@ def validity_margins(psi1: StateFamily, velocity: float,
     """Margins that must stay small for the order-0 description to hold:
     v |psi^(1)| of the label-0 ground start, by level.
 
-    ``psi1`` is the first-order family assembled at ``velocity`` (from
-    advance_order's or first_order_blocks' blocks). Only label row 0 is
-    read, so a family of that row alone suffices, and an all-label family
-    gives the same margins element for element.
+    ``psi1`` is the first-order family assembled at ``velocity`` from
+    advance_order's blocks; only its label row 0 is read.
     """
     secular, *excited = (velocity * np.abs(psi1.coefficients[:, 0, sl])
                          for sl in level_slices(psi1.dims))

@@ -48,11 +48,15 @@ def read_hamiltonian(path):
     """Parse a sampled-Hamiltonian file into (grid, samples).
 
     Returns the Hermitian part of the samples. Raises OSError for
-    unreadable paths, ConfigError for malformed content, NonHermitianInput
-    when any node fails the Hermiticity check of linalg.hermitian_part.
+    unreadable paths, ConfigError for malformed content (bytes that are
+    not text included), NonHermitianInput when any node fails the
+    Hermiticity check of linalg.hermitian_part.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"{path}: empty Hamiltonian file")
@@ -176,11 +180,22 @@ def write_csv(path, columns) -> None:
 
 
 def read_csv(path) -> dict:
-    """Read a write_csv file back; _re/_im pairs recombine to complex."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
+    """Read a write_csv file back; _re/_im pairs recombine to complex.
+
+    Raises OSError for unreadable paths and ConfigError for content that
+    is not a header over rows of numbers of the same length.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader, None)
+            rows = [[float(x) for x in row] for row in reader]
+    except ValueError as exc:       # a non-numeric cell, or bytes not text
+        raise ConfigError(f"{path}: bad CSV: {exc}") from None
+    if not names:
+        raise ConfigError(f"{path}: empty CSV file")
+    if any(len(row) != len(names) for row in rows):
+        raise ConfigError(f"{path}: a row's length differs from the header's")
     data = np.array(rows) if rows else np.zeros((0, len(names)))
     out = {}
     k = 0

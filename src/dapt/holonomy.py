@@ -19,10 +19,6 @@ class HolonomyPath:
     grid: Grid
     u: np.ndarray
 
-    @property
-    def u0(self) -> np.ndarray:
-        return self.u[0]
-
     def unitarity_deviation(self) -> float:
         return unitary_deviation(self.u)
 

@@ -61,12 +61,6 @@ class GammaModel:
         r = _axis(self.cone_angle, 2.0 * np.pi * s)
         return (self.gap / 2.0) * sum(r[i] * GAMMA[i] for i in range(3))
 
-    def d_hamiltonian(self, s: float) -> np.ndarray:
-        st = np.sin(self.cone_angle)
-        phi = 2.0 * np.pi * s
-        return (np.pi * self.gap * st) * (-np.sin(phi) * GAMMA[0]
-                                          + np.cos(phi) * GAMMA[1])
-
     def energies(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         half = self.gap / 2.0
@@ -196,10 +190,6 @@ class GammaModel:
         out[..., 3] += c11
         return out
 
-    def first_order_state(self, s, velocity: float) -> np.ndarray:
-        c = self.first_order_coefficients(s, velocity)
-        return np.einsum("...ij,...j->...i", self.frames(s), c)
-
 
 @dataclass(frozen=True)
 class SpinHalfModel:
@@ -222,12 +212,6 @@ class SpinHalfModel:
         r = _axis(self.cone_angle, 2.0 * np.pi * s)
         return (self.gap / 2.0) * (r[0] * PAULI_X + r[1] * PAULI_Y
                                    + r[2] * PAULI_Z)
-
-    def d_hamiltonian(self, s: float) -> np.ndarray:
-        st = np.sin(self.cone_angle)
-        phi = 2.0 * np.pi * s
-        return (np.pi * self.gap * st) * (-np.sin(phi) * PAULI_X
-                                          + np.cos(phi) * PAULI_Y)
 
     def energies(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)

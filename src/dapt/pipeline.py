@@ -6,7 +6,7 @@ the holonomies (the model's closed form, or the numeric transport), the
 phase integrals omega_n(s) and the correction blocks of every order, whose
 diagonal blocks are quadratures against those holonomies. The series starts
 in the ground level; the validity margins read the label-0 row of the
-first-order blocks, so order 1 is built even for an order-0 workspace. The
+first-order term, so order 1 is built even for an order-0 workspace. The
 closed-form route runs no transport at all.
 
 A velocity point then computes only the phase factors exp(-i omega_n / v),
@@ -31,8 +31,8 @@ import numpy as np
 
 from .couplings import couplings_from_path
 from .engine import (DynamicalPhase, StateFamily, ValidityReport,
-                     advance_order, assemble_state, assemble_terms,
-                     series_state, validity_margins, zero_order_blocks)
+                     advance_order, assemble_terms, series_state,
+                     validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
 from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
@@ -102,7 +102,7 @@ class Workspace:
 
     def term(self, p: int, velocity: float) -> StateFamily:
         """Single order-p family (without the v^p weight)."""
-        return assemble_state(self.blocks[p], self.phases, velocity)
+        return assemble_terms([self.blocks[p]], self.phases, velocity)[0]
 
     def terms(self, velocity: float) -> list:
         """The families of orders 0..order (all labels, without the v^p
@@ -114,9 +114,8 @@ class Workspace:
                 terms=()) -> ValidityReport:
         """Validity margins of the label-0 ground start. ``terms`` may hold
         this velocity's families of orders 0, 1, ... (all labels) when they
-        are already assembled; otherwise row 0 of order 1 is assembled."""
-        psi1 = terms[1] if len(terms) > 1 else assemble_state(
-            self.blocks[1].label_row(0), self.phases, velocity)
+        are already assembled; otherwise order 1 is assembled."""
+        psi1 = terms[1] if len(terms) > 1 else self.term(1, velocity)
         return validity_margins(psi1, velocity, threshold=threshold)
 
     def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
@@ -160,17 +159,15 @@ class Workspace:
         """Sup-norm mismatch of each partial sum against the reference.
 
         The partial sums are accumulated term by term in state space, so
-        each order is assembled once, for row ``label`` alone. ``terms``
+        each order is assembled once and its row ``label`` read. ``terms``
         may hold this velocity's leading families (all labels) when they
-        are already assembled; those orders are read from them instead."""
+        are already assembled; the other orders are assembled here."""
         if exact is None:
             exact = self.exact(velocity, label=label)[0]
         rows = [t.coefficients[:, label] for t in terms[:self.order + 1]]
         if len(rows) <= self.order:
-            rows += [t.coefficients[:, 0] for t in assemble_terms(
-                [b.label_row(label)
-                 for b in self.blocks[len(rows):self.order + 1]],
-                self.phases, velocity)]
+            rows += [t.coefficients[:, label] for t in assemble_terms(
+                self.blocks[len(rows):self.order + 1], self.phases, velocity)]
         out = []
         for p, row in enumerate(rows):
             term = np.einsum("kij,kj->ki", self.path.basis(), row)

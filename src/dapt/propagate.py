@@ -21,7 +21,7 @@ import numpy as np
 from .errors import StepTooLarge
 from .grid import Grid
 from .linalg import hermitian_part, ordered_product
-from .spectral import SpectralPath, hamiltonian_samples
+from .spectral import hamiltonian_samples
 
 BLOCK = 128                    # intervals exponentiated per batch
 MAX_PHASE = 0.1                # phase cap per substep, radians
@@ -36,12 +36,6 @@ class PropagationResult:
     psi: np.ndarray            # (n_nodes, dim) or (n_nodes, labels, dim)
     norm_drift: float
     substeps: int
-
-    def project(self, path: SpectralPath) -> np.ndarray:
-        """Snapshot-basis coefficients <n^g(s_k)|psi(s_k)>, same layout."""
-        if self.psi.ndim == 2:
-            return np.einsum("kij,ki->kj", path.basis().conj(), self.psi)
-        return np.einsum("kij,khi->khj", path.basis().conj(), self.psi)
 
 
 def _hamiltonian_at(h, samples: np.ndarray, grid: Grid, k: np.ndarray,

@@ -68,10 +68,6 @@ class SpectralPath:
         return tuple(b.shape[2] for b in self.blocks)
 
     @property
-    def d_max(self) -> int:
-        return max(self.dims)
-
-    @property
     def dim(self) -> int:
         return sum(self.dims)
 
@@ -79,11 +75,6 @@ class SpectralPath:
         """Full snapshot basis, shape (n, dim, dim): blocks side by side
         (read-only, shared by every caller)."""
         return self._basis
-
-    def projectors(self, level: int) -> np.ndarray:
-        """Rank-d_level projectors block @ block^dagger, shape (n, dim, dim)."""
-        b = self.blocks[level]
-        return b @ np.swapaxes(b, 1, 2).conj()
 
 
 def hamiltonian_samples(h, grid: Grid) -> np.ndarray:

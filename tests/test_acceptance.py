@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from dapt import (GAMMA, PI, DynamicalPhase, GammaModel, Grid, SpinHalfModel,
-                  Workspace, couplings_via_frame_derivatives, daa_state,
-                  first_order_state, fit_power_law, propagate, residual,
-                  sweep, transport_all)
+                  Workspace, fit_power_law, propagate, residual, sweep,
+                  transport_all)
+from oracles import (couplings_via_frame_derivatives, daa_state,
+                     first_order_state)
 
 B = 1.0
 THETAS = (np.pi / 6, np.pi / 3, np.pi / 2)

@@ -93,6 +93,21 @@ def test_fit_order_rejects_out_csv(in_tmp, capsys):
         assert not (in_tmp / "fit.out.json").exists()
 
 
+def test_malformed_input_files_exit_2(in_tmp, capsys):
+    # an empty sweep CSV, a non-numeric cell and a file of bytes that are
+    # not text are configuration errors naming the file, not tracebacks
+    for name, content, argv in [
+        ("empty.csv", b"", ("fit-order", "--input")),
+        ("cell.csv", b"velocity,residual_order0\r\n0.01,x\r\n",
+         ("fit-order", "--input")),
+        ("h.txt", b"\xff\xfe\x00bad", ("validate", "--hamiltonian-file")),
+    ]:
+        (in_tmp / name).write_bytes(content)
+        capsys.readouterr()
+        assert run(*argv, name) == 2, name
+        assert name in capsys.readouterr().err
+
+
 def test_spin_model_selection(in_tmp):
     assert run("evolve", "--model", "spin-half", "--grid-n", "201") == 0
     doc = read_json(in_tmp / "dapt_evolve.json")
@@ -222,6 +237,12 @@ def test_bad_config_files(in_tmp, capsys):
     unknown = in_tmp / "unk.json"
     unknown.write_text(json.dumps({"mystery": 1}))
     assert run("evolve", "--config", str(unknown)) == 2
+    # the file must hold a JSON object, as text
+    for content in (b"5", b"[]", b"\xff\xfe\x00bad"):
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert run("evolve", "--config", str(bad)) == 2, content
+        assert "bad.json" in capsys.readouterr().err, content
     # a wrong-typed value is a configuration error naming its key; null is
     # accepted only where the default is null
     typed = in_tmp / "typed.json"

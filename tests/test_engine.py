@@ -4,12 +4,11 @@ import pytest
 from scipy.linalg import expm
 
 from dapt import (DynamicalPhase, Grid, Workspace, advance_order,
-                  couplings_via_frame_derivatives, daa_state,
-                  first_order_state, j_integral,
-                  series_state, smooth_gauge,
-                  snapshot_eigensystem, transport_all, validity_margins,
-                  zero_order_blocks)
+                  series_state, smooth_gauge, snapshot_eigensystem,
+                  transport_all, validity_margins, zero_order_blocks)
 from dapt.spectral import level_slices
+from oracles import (couplings_via_frame_derivatives, daa_state,
+                     first_order_state, j_integral)
 
 
 def vel(w):

@@ -61,11 +61,15 @@ def test_missing_file_raises_oserror(tmp_path):
     "1 3\n0.2 1,0\n0.5 1,0\n1 1,0\n",
     "0 3\n0\n0.5\n1\n",
     "-1 3\n0\n0.5\n1\n",
+    b"\xff\xfe\x00bad",
 ])
 def test_malformed_files_raise_config_error(tmp_path, text):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ConfigError):
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.txt"):
         read_hamiltonian(path)
 
 
@@ -160,6 +164,19 @@ def test_bad_token_names_its_node(tmp_path, bad):
         _write_nodes(path, lines)
         with pytest.raises(ConfigError, match="node 3:"):
             read_hamiltonian(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b"velocity,residual_order0\r\n0.01,x\r\n",
+    b"velocity,residual_order0\r\n0.01\r\n",
+    b"\xff\xfe\x00bad",
+])
+def test_malformed_csv_raises_config_error(tmp_path, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="bad.csv"):
+        read_csv(path)
 
 
 def test_csv_round_trip(tmp_path):

@@ -4,8 +4,6 @@ import pytest
 
 from dapt import (GAMMA, PI, GammaModel, Grid, SpinHalfModel, propagate,
                   residual)
-from dapt.grid import central_derivative
-from dapt.spectral import hamiltonian_samples
 
 
 def vel(w):
@@ -58,15 +56,6 @@ def test_gamma_frames_at_zero_cone_angle():
     m = GammaModel(cone_angle=0.0)
     f = m.frames(0.0)
     assert np.abs(f[:, 0] - np.array([0, -1, 0, -1]) / np.sqrt(2)).max() < 1e-15
-
-
-@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
-def test_analytic_hamiltonian_derivative(cls):
-    m = cls(gap=0.7, cone_angle=0.9)
-    g = Grid.uniform(801)
-    fd = central_derivative(hamiltonian_samples(m.hamiltonian, g), g)
-    an = np.stack([m.d_hamiltonian(s) for s in g.s])
-    assert np.abs(fd - an).max() < 1e-3
 
 
 def test_wz_matrix_basics(gamma):

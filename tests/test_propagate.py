@@ -120,7 +120,8 @@ def test_projection_onto_snapshot_basis(gamma):
     v = vel(0.05)
     res = propagate(gamma.hamiltonian, g, gamma.frames(0.0)[:, 0], v,
                     substeps=8)
-    coeff = res.project(gamma.spectral_path(g))
+    coeff = np.einsum("kij,ki->kj", gamma.spectral_path(g).basis().conj(),
+                      res.psi)
     assert np.abs(coeff - gamma.exact_coefficients(g.s, v)).max() < 1e-8
 
 
