@@ -168,12 +168,11 @@ def _fits(named) -> tuple:
 def cmd_evolve(cfg: dict):
     ws = _build(cfg)
     v = _velocity(cfg)
-    exact, drift, substeps = ws.exact(v, substeps=cfg["substeps"])
-    fam = ws.series(v)
-    series_vec = fam.vectors(ws.path)[:, 0, :]
-    exact_coeff = np.einsum("kij,ki->kj", ws.path.basis().conj(), exact)
-    series_coeff = fam.coefficients[:, 0, :]
-    res = np.linalg.norm(exact - series_vec, axis=1)
+    exact_coeff, drift, substeps = ws.exact_coefficients(
+        v, substeps=cfg["substeps"])
+    series_coeff = ws.series(v).coefficients[:, 0, :]
+    # the snapshot basis is unitary: the state distance, in coefficients
+    res = np.linalg.norm(exact_coeff - series_coeff, axis=1)
     cols = [("s", ws.grid.s)]
     cols += [(f"exact_{j}", exact_coeff[:, j]) for j in range(ws.path.dim)]
     cols += [(f"order{ws.order}_{j}", series_coeff[:, j])
@@ -264,6 +263,8 @@ def cmd_sweep(cfg: dict):
             raise ConfigError(f"bad --v-list: {exc}") from None
     else:
         vs = [float(x) for x in cfg["v_list"]]
+    if not all(map(math.isfinite, vs)):
+        raise ConfigError(f"v_list must hold finite numbers, got {vs}")
     ws = _build(cfg)
     result = sweep(ws, vs, threshold=cfg["threshold"])
     cols = [("velocity", result.velocities)]

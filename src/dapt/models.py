@@ -12,6 +12,10 @@ first-order correction, and the correction-dressed holonomy.
 
 SpinHalfModel: two-dimensional Rabi problem, both levels simple; exercises
 ragged degeneracy bookkeeping and the Abelian limit of the transport.
+
+Both give their exact reference as states (exact_state) and as snapshot
+coefficients (exact_coefficients), each accepting the frames the caller
+already holds.
 """
 from dataclasses import dataclass
 
@@ -125,32 +129,42 @@ class GammaModel:
 
     def _rabi(self, s, velocity: float):
         w = 2.0 * np.pi * velocity
-        t = np.asarray(s, dtype=float) / velocity
         b, ct = self.gap, np.cos(self.cone_angle)
         om_p = np.sqrt(w * w + b * b + 2.0 * w * b * ct)
         om_m = np.sqrt(w * w + b * b - 2.0 * w * b * ct)
         if min(om_p, om_m) < 1e-12 * max(w, b):
             raise ValueError("resonant parameters: closed form is singular")
-        a_p = np.cos(om_p * t / 2) + 1j * ((b + w * ct) / om_p) * np.sin(om_p * t / 2)
-        a_m = np.cos(om_m * t / 2) + 1j * ((b - w * ct) / om_m) * np.sin(om_m * t / 2)
-        b_p = 1j * (w / om_p) * np.sin(om_p * t / 2)
-        b_m = 1j * (w / om_m) * np.sin(om_m * t / 2)
+        t = np.asarray(s, dtype=float) / velocity
+        amplitudes = []
+        for om, c in ((om_p, b + w * ct), (om_m, b - w * ct)):
+            # one sine and one cosine per frequency
+            half = om * t / 2
+            sin = np.sin(half)
+            amplitudes += [np.cos(half) + 1j * (c / om) * sin,
+                           1j * (w / om) * sin]
+        a_p, b_p, a_m, b_m = amplitudes
         return a_p, a_m, b_p, b_m
 
-    def exact_coefficients(self, s, velocity: float) -> np.ndarray:
+    def exact_coefficients(self, s, velocity: float,
+                           frames=None) -> np.ndarray:
         """Snapshot coefficients of the exact state started in |0^0(0)>.
 
-        Shape (..., 4), ordered like the frame columns.
+        Shape (..., 4), ordered like the frame columns: a view of (4, ...)
+        memory, so each column is one contiguous row. ``frames`` (accepted
+        as for SpinHalfModel.exact_coefficients) is not read.
         """
         a_p, a_m, b_p, b_m = self._rabi(s, velocity)
         s = np.asarray(s, dtype=float)
         ct, st = np.cos(self.cone_angle), np.sin(self.cone_angle)
         ep = np.exp(1j * np.pi * s)
-        c00 = ep * ((1 + ct) / 2 * a_m + (1 - ct) / 2 * a_p)
-        c01 = ep.conj() * st * (a_p - a_m) / 2
-        c10 = ep * st * st * (b_p + b_m) / 2
-        c11 = ep.conj() * st * ((1 + ct) / 2 * b_m - (1 - ct) / 2 * b_p)
-        return np.stack([c00, c01, c10, c11], axis=-1)
+        out = np.empty((4,) + s.shape, dtype=complex)
+        np.multiply(ep, (1 + ct) / 2 * a_m + (1 - ct) / 2 * a_p,
+                    out=out[0, ...])
+        np.multiply(ep.conj(), st / 2 * (a_p - a_m), out=out[1, ...])
+        np.multiply(ep, st * st / 2 * (b_p + b_m), out=out[2, ...])
+        np.multiply(ep.conj(), st * ((1 + ct) / 2 * b_m - (1 - ct) / 2 * b_p),
+                    out=out[3, ...])
+        return np.moveaxis(out, 0, -1)
 
     def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
         """Exact state started in |0^0(0)>, shape (..., 4). ``frames`` may
@@ -287,3 +301,13 @@ class SpinHalfModel:
             np.stack([lab, np.zeros_like(lab)], axis=-1),
             np.stack([np.zeros_like(lab), lab.conj()], axis=-1)], axis=-2)
         return np.einsum("...ij,...jk,k->...i", frame, rot, psi0)
+
+    def exact_coefficients(self, s, velocity: float,
+                           frames=None) -> np.ndarray:
+        """Snapshot coefficients frames(s)^dag exact_state(s), shape
+        (..., 2). ``frames`` may pass frames(s) when the caller already
+        holds them."""
+        if frames is None:
+            frames = self.frames(s)
+        return np.einsum("...ji,...j->...i", frames.conj(),
+                         self.exact_state(s, velocity))

@@ -12,9 +12,13 @@ closed-form route runs no transport at all.
 A velocity point then computes only the phase factors exp(-i omega_n / v),
 one per level, and phase-weighted sums of stored blocks: in a sweep, every
 order is assembled once, from one phase exponential, and shared by the
-residuals, the margins and the corrected holonomy. Its one other cost is
-the reference state: the model's closed form, or the propagator on the
-file route.
+residuals, the margins and the corrected holonomy (orders 0 and 1 for
+every ground label, higher orders for label 0 alone, the one row the
+residuals read). Its one other cost is the reference, taken in snapshot
+coefficients: the model's closed form gives them directly, and on the
+file route the propagated state is projected once. The residuals are
+measured there and no state is formed: the snapshot basis is unitary at
+every node, so a distance of coefficients is the distance of the states.
 
 The blocks, the phase integrals and the assembled families keep the node
 index fastest in memory (see dapt.engine), so these sums, the residual
@@ -25,7 +29,7 @@ memory.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,10 +109,13 @@ class Workspace:
         return assemble_terms([self.blocks[p]], self.phases, velocity)[0]
 
     def terms(self, velocity: float) -> list:
-        """The families of orders 0..order (all labels, without the v^p
-        weights), assembled from one phase exponential."""
-        return assemble_terms(self.blocks[:self.order + 1], self.phases,
-                              velocity)
+        """The families of orders 0..order (without the v^p weights),
+        assembled from one phase exponential. Orders 0 and 1 hold every
+        label, as the corrected holonomy reads them; higher orders hold
+        label 0 alone, the one row the residuals read."""
+        return assemble_terms(
+            [b if b.order < 2 else replace(b, data=b.data[:, :1])
+             for b in self.blocks[:self.order + 1]], self.phases, velocity)
 
     def margins(self, velocity: float, threshold: float = 0.1,
                 terms=()) -> ValidityReport:
@@ -154,29 +161,52 @@ class Workspace:
                         substeps=substeps)
         return res.psi, res.norm_drift, res.substeps
 
+    def exact_coefficients(self, velocity: float, label: int = 0,
+                           substeps: int = None):
+        """The reference evolution of ``exact`` in snapshot coefficients,
+        basis^dag psi, with the same (norm_drift, substeps). The model's
+        closed form gives them directly; a propagated state is projected
+        once."""
+        if self.model is not None and label == 0:
+            return self.model.exact_coefficients(
+                self.grid.s, velocity, frames=self.path.basis()), 0.0, 0
+        psi, drift, substeps = self.exact(velocity, label=label,
+                                          substeps=substeps)
+        return _project(self.path, psi), drift, substeps
+
     def series_residuals(self, velocity: float, label: int = 0,
                          exact=None, terms=()) -> list:
         """Sup-norm mismatch of each partial sum against the reference.
 
-        The partial sums are accumulated term by term in state space, so
-        each order is assembled once and its row ``label`` read. ``terms``
-        may hold this velocity's leading families (all labels) when they
-        are already assembled; the other orders are assembled here."""
+        Both sides are snapshot coefficients: the snapshot basis is unitary
+        at every node, so their distance is the distance of the states.
+        The reference is ``exact_coefficients``, or the projection of the
+        reference states ``exact`` when they are given. The partial sums
+        are accumulated term by term, so each order is assembled once and
+        its row ``label`` read. ``terms`` may hold this velocity's leading
+        families (with row ``label``) when they are already assembled; the
+        other orders are assembled here."""
         if exact is None:
-            exact = self.exact(velocity, label=label)[0]
+            ref = self.exact_coefficients(velocity, label=label)[0]
+        else:
+            ref = _project(self.path, exact)
         rows = [t.coefficients[:, label] for t in terms[:self.order + 1]]
         if len(rows) <= self.order:
             rows += [t.coefficients[:, label] for t in assemble_terms(
                 self.blocks[len(rows):self.order + 1], self.phases, velocity)]
         out = []
         for p, row in enumerate(rows):
-            term = np.einsum("kij,kj->ki", self.path.basis(), row)
             if p:
-                term *= velocity ** p
-                term += psi
-            psi = term
-            out.append(residual(psi, exact))
+                row = velocity ** p * row
+                row += psi
+            psi = row
+            out.append(residual(psi, ref))
         return out
+
+
+def _project(path, psi: np.ndarray) -> np.ndarray:
+    """Snapshot coefficients basis^dag psi of states psi, shape (n, dim)."""
+    return np.einsum("kji,kj->ki", path.basis().conj(), psi)
 
 
 @dataclass(frozen=True)
@@ -237,14 +267,12 @@ class SweepResult:
 
 
 def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
-    # the reference first, so its temporaries are gone before the terms
-    # exist; every order's family serves the residuals, and orders 0 and 1
-    # then the margins and the corrected holonomy, after the reference and
-    # the higher orders are freed
-    exact = ws.exact(velocity)[0]
+    # every order's family serves the residuals, measured against the
+    # reference in snapshot coefficients; orders 0 and 1 then serve the
+    # margins and the corrected holonomy, after the higher orders are freed
     terms = ws.terms(velocity)
-    res = ws.series_residuals(velocity, exact=exact, terms=terms)
-    del exact, terms[2:]
+    res = ws.series_residuals(velocity, terms=terms)
+    del terms[2:]
     rep = ws.margins(velocity, threshold=threshold, terms=terms)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:
@@ -261,6 +289,8 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
     vs = [float(v) for v in velocities]
     if len(vs) < 4:
         raise InsufficientSweep(f"need at least 4 velocities, got {len(vs)}")
+    if not all(map(math.isfinite, vs)):
+        raise InsufficientSweep("velocities must be finite")
     if len(set(vs)) != len(vs):
         raise InsufficientSweep("duplicate sweep velocities")
     if min(vs) <= 0.0:

@@ -170,6 +170,14 @@ def test_error_exit_codes(argv, code):
     assert run(*argv) == code
 
 
+@pytest.mark.parametrize("v_list", ["nan,0.01,0.02,0.1",
+                                    "0.01,0.02,0.1,inf"])
+def test_sweep_rejects_non_finite_velocities(in_tmp, capsys, v_list):
+    assert run("sweep", "--grid-n", "101", "--v-list", v_list) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (in_tmp / "dapt_sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "evolve"])
 @pytest.mark.parametrize("node,field,token,message", [
     (25, 1, "nan,0", "non-finite"),

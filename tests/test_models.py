@@ -102,6 +102,23 @@ def test_exact_coefficients_consistent_with_state(gamma):
     assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", ["gamma", "spin"])
+def test_exact_coefficients_project_the_exact_state(gamma, spin, name):
+    # both models give their reference as snapshot coefficients too, with
+    # or without the frames passed in; each column is one contiguous row
+    model = {"gamma": gamma, "spin": spin}[name]
+    s = np.linspace(0.0, 1.0, 13)
+    v = vel(0.3)
+    f = model.frames(s)
+    want = np.einsum("kji,kj->ki", f.conj(), model.exact_state(s, v))
+    for c in (model.exact_coefficients(s, v),
+              model.exact_coefficients(s, v, frames=f)):
+        assert c.shape == (13, f.shape[-1])
+        assert np.abs(c - want).max() < 1e-12
+    if name == "gamma":
+        assert c.strides[0] == c.itemsize
+
+
 def test_expansion_hierarchy_of_closed_forms(gamma):
     # exact minus (order0 + v order1) must shrink like v^2
     s = np.linspace(0.0, 1.0, 501)
