@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GapCollapse
 from .grid import Grid, central_derivative
-from .spectral import SpectralPath, hamiltonian_samples
+from .spectral import SpectralPath, hamiltonian_samples, level_slices
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,16 @@ def couplings_from_path(path: SpectralPath, h,
     _check_gaps(path, gap_floor)
     dh_samples = central_derivative(hamiltonian_samples(h, path.grid),
                                     path.grid)
+    # every level pair's <n^h| dH/ds |k^g> is a block of one product
+    basis = path.basis()
+    coupled = np.swapaxes(basis, 1, 2).conj() @ dh_samples @ basis
+    slices = level_slices(path.dims)
     mats = {}
-    for n in range(path.n_levels):
-        bn_dag = np.swapaxes(path.blocks[n], 1, 2).conj()
-        for k in range(path.n_levels):
-            if n == k:
-                continue
-            delta = (path.energies[:, k] - path.energies[:, n])[:, None, None]
-            mats[(n, k)] = bn_dag @ dh_samples @ path.blocks[k] / delta
+    for n, rows in enumerate(slices):
+        for k, cols in enumerate(slices):
+            if n != k:
+                delta = path.energies[:, k] - path.energies[:, n]
+                mats[(n, k)] = coupled[:, rows, cols] / delta[:, None, None]
     for n in range(path.n_levels):
         dblock = central_derivative(path.blocks[n], path.grid)
         mats[(n, n)] = np.swapaxes(path.blocks[n], 1, 2).conj() @ dblock

@@ -113,19 +113,26 @@ def _read_pairs(lines, dim):
     return s, samples
 
 
+# byte classes of _pairs_layout: 1 for the ASCII whitespace of str.split
+# (\t-\r, \x1c-\x1f and the space), 2 for the comma, 0 for any other byte
+LAYOUT_CLASSES = bytes(1 if 9 <= b <= 13 or 28 <= b <= 32
+                       else 2 if b == ord(",") else 0 for b in range(256))
+
+
 def _pairs_layout(text, n_lines, pairs):
     """True when ``text`` is ``n_lines`` lines of '<s> <re>,<im> ...' with
     ``pairs`` pairs, checked on its ASCII bytes: each comma stands between
     two value characters, and the separators of a line alternate
     whitespace, comma, ..., ending on a comma. A token with two commas,
-    none, or an empty part next to one fails; it is not reinterpreted."""
+    none, or an empty part next to one fails; it is not reinterpreted.
+    The bytes are classified in one pass, by LAYOUT_CLASSES."""
     try:
-        u = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        raw = text.encode("ascii")
     except UnicodeEncodeError:
         return False
-    comma = u == ord(",")
-    # the ASCII whitespace of str.split: \t-\r, \x1c-\x1f and the space
-    sep = comma | (u == 32) | ((u >= 9) & (u <= 13)) | ((u >= 28) & (u <= 31))
+    u = np.frombuffer(raw.translate(LAYOUT_CLASSES), dtype=np.uint8)
+    comma = u == 2
+    sep = u != 0
     at = np.flatnonzero(comma)
     if at.size != n_lines * pairs or at[0] == 0 or at[-1] == u.size - 1 \
             or sep[at - 1].any() or sep[at + 1].any():

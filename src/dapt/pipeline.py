@@ -41,7 +41,7 @@ from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
 from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
 from .propagate import propagate, residual, substep_count
-from .spectral import smooth_gauge, snapshot_eigensystem
+from .spectral import HermitianSamples, smooth_gauge, snapshot_eigensystem
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Workspace:
     blocks: list               # CorrectionBlocks, orders 0..max(order, 1)
     order: int
     model: object = None
-    samples: np.ndarray = None
+    samples: HermitianSamples = None
 
     @classmethod
     def build(cls, model=None, samples=None, grid: Grid = None,
@@ -80,6 +80,8 @@ class Workspace:
             path = model.spectral_path(grid)
             cs = model.couplings(grid)
         else:
+            # checked once here; every layer below reads the checked stack
+            samples = HermitianSamples(samples, grid)
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
             cs = couplings_from_path(path, h=samples, gap_floor=gap_floor)

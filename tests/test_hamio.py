@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dapt import (ConfigError, Grid, NonHermitianInput, hamiltonian_samples,
                   read_csv, read_hamiltonian, write_csv, write_hamiltonian,
@@ -164,6 +166,48 @@ def test_bad_token_names_its_node(tmp_path, bad):
         _write_nodes(path, lines)
         with pytest.raises(ConfigError, match="node 3:"):
             read_hamiltonian(path)
+
+
+def _pairs_layout_reference(text, n_lines, pairs):
+    """The layout rule with one whole-buffer comparison per separator
+    byte, kept as the reference for _pairs_layout's byte table."""
+    try:
+        u = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return False
+    comma = u == ord(",")
+    sep = comma | (u == 32) | ((u >= 9) & (u <= 13)) | ((u >= 28) & (u <= 31))
+    at = np.flatnonzero(comma)
+    if at.size != n_lines * pairs or at[0] == 0 or at[-1] == u.size - 1 \
+            or sep[at - 1].any() or sep[at + 1].any():
+        return False
+    kinds = comma[np.flatnonzero(sep[1:] & ~sep[:-1]) + 1]
+    line = np.r_[np.tile([False, True], pairs), False]
+    return np.array_equal(kinds, np.tile(line, n_lines)[:-1])
+
+
+LAYOUT_TEXT = "\n".join(ODD_NODES)
+# separators of every class, bytes beside them, and one non-ASCII letter
+MUTANTS = " \t\n\x0b\x0c\r\x1c\x1f\x1b\x7f\x00,.-+e0x\xe9"
+
+
+@given(edits=st.lists(st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(min_value=0, max_value=len(LAYOUT_TEXT) - 1),
+    st.sampled_from(MUTANTS)), min_size=1, max_size=3))
+@settings(max_examples=400, deadline=None)
+def test_pairs_layout_matches_comparison_rule(edits):
+    import dapt.hamio as hamio
+    text = LAYOUT_TEXT
+    for op, at, ch in edits:
+        at = min(at, len(text) - 1)
+        text = {"replace": text[:at] + ch + text[at + 1:],
+                "insert": text[:at] + ch + text[at:],
+                "delete": text[:at] + text[at + 1:]}[op]
+    for pairs in (3, 4):
+        assert hamio._pairs_layout(text, len(ODD_NODES), pairs) \
+            == _pairs_layout_reference(text, len(ODD_NODES), pairs)
+    assert _pairs_layout_reference(LAYOUT_TEXT, len(ODD_NODES), 4)
 
 
 @pytest.mark.parametrize("content", [

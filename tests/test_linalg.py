@@ -8,8 +8,8 @@ from scipy.linalg import expm
 
 from dapt import (NonHermitianInput, NotAntiHermitian, unitary_deviation,
                   unitary_expm)
-from dapt.linalg import (SMALL_INNER, hermitian_part, ordered_product,
-                         stack_matmul)
+from dapt.linalg import (SMALL_INNER, TAYLOR, hermitian_part, ordered_product,
+                         small_expm, stack_matmul)
 
 entry = st.floats(min_value=-1.0, max_value=1.0,
                   allow_nan=False, allow_infinity=False)
@@ -218,3 +218,58 @@ def test_stack_matmul_mismatch_raises_like_matmul(a_shape, b_shape):
         a @ b
     with pytest.raises(ValueError):
         stack_matmul(a, b)
+
+
+def _scaled(rng, d, norm, anti=False):
+    """A random complex d x d matrix of 1-norm ``norm`` (anti-Hermitian
+    when ``anti``)."""
+    x = _complex(rng, d, d)
+    if anti:
+        x = x - x.conj().T
+    return x * (norm / np.abs(x).sum(axis=0).max())
+
+
+# both sides of every degree's radius, the top degree's, and the squaring
+# path beyond it
+EXPM_NORMS = [1e-12, *(f * theta for _, theta in TAYLOR for f in (0.99, 1.01)),
+              1.0, 5.0, 50.0]
+
+
+@pytest.mark.parametrize("norm", EXPM_NORMS)
+def test_small_expm_matches_scipy(norm):
+    rng = np.random.default_rng(int(1e6 * norm) % 2**32)
+    for d in (1, 2, 3, 4, 7, 16):
+        for anti in (False, True):
+            x = _scaled(rng, d, norm, anti)
+            want = expm(x)
+            got = small_expm(x)
+            assert np.abs(got - want).max() <= 1e-13 * max(
+                1.0, np.abs(want).max()), (d, anti)
+
+
+def test_small_expm_batched_matches_per_slice():
+    # the stack's largest norm sets one degree (and squaring) for all of it
+    rng = np.random.default_rng(17)
+    for norms in ([1e-9, 1e-5, 1e-3, 0.2], [1e-9, 0.2, 3.0]):
+        for d in (2, 5, 16):
+            x = np.stack([_scaled(rng, d, n) for n in norms])
+            batch = small_expm(x)
+            for k in range(len(norms)):
+                assert np.abs(batch[k] - small_expm(x[k])).max() < 1e-14
+
+
+def test_small_expm_is_unitary_below_top_radius():
+    rng = np.random.default_rng(23)
+    top = TAYLOR[-1][1]
+    for norm in (1e-10, 1e-6, 1e-3, 1e-2, 0.1, top):
+        for d in (1, 2, 4, 7, 16):
+            x = np.stack([_scaled(rng, d, norm, anti=True) for _ in range(5)])
+            assert unitary_deviation(small_expm(x)) < 1e-14, (norm, d)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_small_expm_rejects_non_finite_entries(entry):
+    x = np.zeros((3, 2, 2), dtype=complex)
+    x[1, 0, 1] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        small_expm(x)

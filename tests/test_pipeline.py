@@ -1,5 +1,6 @@
 """Workspace orchestration, power-law fits, velocity sweeps."""
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dapt.engine
+import dapt.hamio
 import dapt.pipeline
+import dapt.spectral
 import oracles
-from dapt import (ConfigError, Grid, InsufficientSweep, SpectralPath,
-                  StateFamily, Workspace, corrected_holonomy, fit_power_law,
-                  hamiltonian_samples, propagate, residual,
-                  snapshot_eigensystem, sweep)
+from dapt import (ConfigError, Grid, InsufficientSweep, NonHermitianInput,
+                  SpectralPath, StateFamily, Workspace, corrected_holonomy,
+                  couplings_from_path, fit_power_law, hamiltonian_samples,
+                  propagate, read_hamiltonian, residual, snapshot_eigensystem,
+                  sweep, write_hamiltonian)
 from dapt.pipeline import _sweep_point
-from dapt.spectral import level_slices
+from dapt.spectral import HermitianSamples, level_slices
 from oracles import first_order_state, j_integral
 
 
@@ -248,13 +252,22 @@ def sweep_workspaces(gamma, spin, ragged):
                 gamma.hamiltonian, g), grid=g, order=2)}
 
 
-@pytest.mark.parametrize("route", ["gamma", "spin", "file", "ragged"])
-def test_snapshot_basis_is_unitary(sweep_workspaces, route):
+@pytest.mark.parametrize("route", ["gamma", "spin", "file", "ragged",
+                                   "file-16001"])
+def test_snapshot_basis_is_unitary(sweep_workspaces, gamma, route):
     # the identity the residuals rest on: a distance of snapshot
-    # coefficients is the distance of the states they stand for
-    b = sweep_workspaces[route].path.basis()
+    # coefficients is the distance of the states they stand for. The
+    # gauge-fixed frames of a file route are the raw frames times an
+    # ordered product of n - 1 polar factors, so the long grid shows
+    # whether that product keeps its unitarity
+    if route == "file-16001":
+        g = Grid.uniform(16001)
+        b = Workspace.build(samples=hamiltonian_samples(gamma.hamiltonian, g),
+                            grid=g, order=0).path.basis()
+    else:
+        b = sweep_workspaces[route].path.basis()
     overlap = np.swapaxes(b, 1, 2).conj() @ b
-    assert np.abs(overlap - np.eye(b.shape[1])).max() <= 1e-13
+    assert np.abs(overlap - np.eye(b.shape[1])).max() <= 1e-14
 
 
 @pytest.mark.parametrize("route", ["gamma", "spin", "file", "ragged"])
@@ -479,3 +492,61 @@ def test_in_level_rotation_per_node_leaves_states(ragged_ws, seed, w):
     want = np.einsum("khi,hj->kji", ws.series(v).vectors(ws.path), q)
     got = rotated.series(v).vectors(rotated.path)
     assert np.abs(got - want).max() < 1e-10
+
+
+def _file_samples(tmp_path, name, samples, grid):
+    """The samples as the file route sees them: written and read back."""
+    path = tmp_path / name
+    write_hamiltonian(path, samples, grid)
+    return read_hamiltonian(path)
+
+
+@pytest.mark.parametrize("route", ["gamma", "ragged"])
+def test_file_route_runs_one_eigh_and_no_svd(gamma, ragged, route,
+                                             tmp_path, monkeypatch):
+    # gauge fixing takes near-unitary overlaps by series, and transport
+    # and the Magnus steps exponentiate by Taylor polynomial, so the
+    # snapshot eigensystem is the only eigensolver left in a build and
+    # its reference propagations, and no SVD runs
+    g = Grid.uniform(401)
+    samples = (hamiltonian_samples(gamma.hamiltonian, g) if route == "gamma"
+               else ragged(g))
+    grid, samples = _file_samples(tmp_path, "h.txt", samples, g)
+    calls = {"eigh": [], "svd": []}
+    for name in calls:
+        raw = getattr(np.linalg, name)
+
+        def counted(*args, _raw=raw, _name=name, **kwargs):
+            calls[_name].append(sys._getframe(1).f_code.co_name)
+            return _raw(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    ws = Workspace.build(samples=samples, grid=grid, order=2)
+    for v in (0.01, 0.05):
+        ws.exact(v)
+    assert calls == {"eigh": ["snapshot_eigensystem"], "svd": []}
+
+
+def test_workspace_checks_its_samples_once(ragged, tmp_path, monkeypatch):
+    g = Grid.uniform(201)
+    checks = []
+    for module in (dapt.hamio, dapt.spectral):
+        raw = module.hermitian_part
+        monkeypatch.setattr(module, "hermitian_part",
+                            lambda x, _raw=raw: checks.append(1) or _raw(x))
+    grid, samples = _file_samples(tmp_path, "h.txt", ragged(g), g)
+    assert len(checks) == 1
+    ws = Workspace.build(samples=samples, grid=grid, order=2)
+    assert len(checks) == 2
+    ws.exact(0.05)
+    propagate(ws.samples, ws.grid, ws.start_vector(0), 0.05, substeps=1)
+    assert len(checks) == 2
+    assert not ws.samples.values.flags.writeable
+    # raw samples are still checked by every public entry point
+    bad = samples.copy()
+    bad[7, 0, 1] += 1e-6
+    for call in (lambda: HermitianSamples(bad, grid),
+                 lambda: snapshot_eigensystem(bad, grid),
+                 lambda: couplings_from_path(ws.path, bad),
+                 lambda: propagate(bad, grid, ws.start_vector(0), 0.05)):
+        with pytest.raises(NonHermitianInput):
+            call()

@@ -8,7 +8,7 @@ from dapt import (DegeneracyChanged, DimensionMismatch, Grid,
                   NonHermitianInput, RankDeficientOverlap, SpectralPath,
                   hamiltonian_samples, smooth_gauge, snapshot_eigensystem)
 from dapt.models import PAULI_X, PAULI_Z
-from dapt.spectral import level_slices
+from dapt.spectral import POLAR_RADIUS, _polar_factors, level_slices
 
 
 def test_clusters_gamma_model_into_two_doublets(gamma):
@@ -169,3 +169,58 @@ def test_smooth_gauge_removes_per_node_rotations(ragged, seed):
         assert np.abs(got.blocks[level] - want.blocks[level] @ r[0]).max() < 1e-12
         assert np.abs(projector(got, level)
                       - projector(raw, level)).max() < 1e-12
+
+
+def _near_unitary(rng, m, d, size):
+    """m overlaps U (I + size K), U unitary and K Hermitian of max-entry
+    1: each O^dag O - I has max-entry near 2 size."""
+    u = random_unitaries(rng, m, d)
+    k = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    k = k + np.swapaxes(k, 1, 2).conj()
+    k /= np.abs(k).max(axis=(1, 2), keepdims=True)
+    return u @ (np.eye(d) + size * k)
+
+
+def _svd_polar(o):
+    w, _, vh = np.linalg.svd(o)
+    return w @ vh
+
+
+def _count_svd(monkeypatch):
+    """Record the stack size of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(len(a))
+                        or svd(a, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_polar_series_matches_svd_on_near_unitary_overlaps(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    sizes = (1e-9, 1e-6, 0.1 * POLAR_RADIUS / d, 0.4 * POLAR_RADIUS / d)
+    o = np.concatenate([_near_unitary(rng, 50, d, x) for x in sizes])
+    want = _svd_polar(o)
+    calls = _count_svd(monkeypatch)
+    got = _polar_factors(o, level=0)
+    assert calls == []
+    assert np.abs(got - want).max() < 1e-14
+
+
+def test_polar_factors_send_only_rough_overlaps_to_svd(monkeypatch):
+    rng = np.random.default_rng(4)
+    d = 3
+    o = _near_unitary(rng, 40, d, 1e-6)
+    rough = [5, 17, 30]
+    o[rough] = _near_unitary(rng, 3, d, 0.2)
+    want = _svd_polar(o)
+    calls = _count_svd(monkeypatch)
+    got = _polar_factors(o, level=2)
+    assert calls == [len(rough)]
+    assert np.abs(got - want).max() < 1e-14
+    # a rank-deficient rough overlap is named by its nodes
+    o[17, :, 0] = 0.0
+    with pytest.raises(RankDeficientOverlap,
+                       match="level 2: .* between nodes 17 and 18"):
+        _polar_factors(o, level=2)
