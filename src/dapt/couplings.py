@@ -93,16 +93,18 @@ def couplings_from_path(path: SpectralPath, h,
     _check_gaps(path, gap_floor)
     dh_samples = central_derivative(hamiltonian_samples(h, path.grid),
                                     path.grid)
-    # every level pair's <n^h| dH/ds |k^g> is a block of one product
+    # <n^h| dH/ds |k^g> for every level k is a block of one product per
+    # level n, B_n^dag dH/ds basis; one level's row at a time keeps the
+    # temporaries at a fraction of the (n_nodes, dim, dim) stack
     basis = path.basis()
-    coupled = np.swapaxes(basis, 1, 2).conj() @ dh_samples @ basis
     slices = level_slices(path.dims)
     mats = {}
-    for n, rows in enumerate(slices):
+    for n, block in enumerate(path.blocks):
+        row = np.swapaxes(block, 1, 2).conj() @ dh_samples @ basis
         for k, cols in enumerate(slices):
             if n != k:
                 delta = path.energies[:, k] - path.energies[:, n]
-                mats[(n, k)] = coupled[:, rows, cols] / delta[:, None, None]
+                mats[(n, k)] = row[:, :, cols] / delta[:, None, None]
     for n in range(path.n_levels):
         dblock = central_derivative(path.blocks[n], path.grid)
         mats[(n, n)] = np.swapaxes(path.blocks[n], 1, 2).conj() @ dblock
