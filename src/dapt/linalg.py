@@ -142,9 +142,10 @@ def small_expm(x: np.ndarray) -> np.ndarray:
     m = 1 it is I + x. Raises ValueError on a non-finite entry.
 
     Minimum of 30 timeit runs on a 2-core host (NumPy 2.4.6, OpenBLAS),
-    two sessions, random anti-Hermitian (n, d, d) stacks of the given
-    1-norm, against the batched eigh and rebuild V e^{-i lam} V^dag it
-    replaced (in unitary_expm and in the Magnus steps of dapt.propagate):
+    ranges over two processes, for random anti-Hermitian (n, d, d) stacks
+    of the given 1-norm, against the batched eigh and rebuild
+    V e^{-i lam} V^dag it replaced (in unitary_expm and in the Magnus
+    steps of dapt.propagate):
 
         stack            1-norm   eigh        small_expm
         (2000, 2, 2)     1e-9     2.9-3.1     0.17-0.24 ms
