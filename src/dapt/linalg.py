@@ -129,6 +129,35 @@ def ordered_product(factors: np.ndarray, start: np.ndarray) -> np.ndarray:
 TAYLOR = ((1, 1e-8), (3, 2e-4), (6, 1.5e-2), (12, 0.3))
 
 
+def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices held node-fastest.
+
+    ``a`` has shape (p, q, m) and ``b`` (q, r, m): the matrix indices come
+    first and the stack index last, so each matrix entry is a row of m
+    values. The (p, r, m) result is one einsum over the inner index, a
+    NumPy loop over whole rows with no BLAS call, where ``@`` on the same
+    stacks held node-first makes one zgemm call per matrix. The two agree
+    to roundoff.
+
+    Minimum of 7 x 200 timeit runs, ranges over two processes, on a
+    2-core host (NumPy 2.4.6, OpenBLAS), complex (d, d, m) stacks of
+    dapt.propagate's block size, against ``@`` on the node-first copies;
+    then the time per product with two threads multiplying at once:
+
+        d   m       one thread              two threads
+                    row_matmul   @          row_matmul   @
+        2   1536    60-63        463-696    42-43        1362-1372 us
+        3   682     77-83        248-396    48-55        397-592 us
+        4   384     72-81        129-204    61-72        225-305 us
+        5   245     94-141       102-108    64-74        174-184 us
+        6   170     100-148      67-80      94-105       143-165 us
+        8   96      147-189      51-64      103-107      81-101 us
+
+    Concurrent zgemm calls slow each other down; the einsum does not.
+    """
+    return np.einsum("ijm,jkm->ikm", a, b)
+
+
 def small_expm(x: np.ndarray) -> np.ndarray:
     """exp(x) for a stack of small matrices (batched on leading axes).
 
@@ -139,7 +168,8 @@ def small_expm(x: np.ndarray) -> np.ndarray:
     (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970). The
     polynomial is evaluated on stack_matmul from x, x^2 and x^3, in
     Paterson-Stockmeyer form for m = 3, 6 and 12: 2, 3 and 5 products; at
-    m = 1 it is I + x. Raises ValueError on a non-finite entry.
+    m = 1 it is I + x. Raises ValueError on a non-finite entry. row_expm
+    evaluates the same polynomial on node-fastest stacks.
 
     Minimum of 30 timeit runs on a 2-core host (NumPy 2.4.6, OpenBLAS),
     ranges over two processes, for random anti-Hermitian (n, d, d) stacks
@@ -156,11 +186,35 @@ def small_expm(x: np.ndarray) -> np.ndarray:
         (2000, 16, 16)   0.24     151-156     54-60 ms
 
     The first three are the transport steps of the smooth gauge (degree
-    1), the last three the Magnus steps of the benchmark's files (degree
-    12); the two agree to 1e-14.
+    1), the last three Magnus steps at the benchmark files' 1-norms
+    (degree 12); the two agree to 1e-14. dapt.propagate takes its steps
+    here above dimension ROW_DIM = 5 and through row_expm up to it.
     """
     x = np.asarray(x, dtype=complex)
-    norm = float(np.abs(x).sum(axis=-2).max())
+    diag = np.arange(x.shape[-1])
+    return _taylor_expm(x, -2, (..., diag, diag), stack_matmul)
+
+
+def row_expm(x: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a node-fastest (d, d, m) stack.
+
+    small_expm's Taylor polynomial, degree choice, scaling and squaring
+    and non-finite check, with the products taken by row_matmul, so every
+    step runs over whole rows of m entries. It agrees with small_expm on
+    the same stack held node-first to roundoff.
+    """
+    x = np.asarray(x, dtype=complex)
+    diag = np.arange(x.shape[0])
+    return _taylor_expm(x, 0, (diag, diag), row_matmul)
+
+
+def _taylor_expm(x: np.ndarray, rows: int, diagonal: tuple,
+                 matmul) -> np.ndarray:
+    """The TAYLOR polynomial of small_expm for a complex stack in either
+    layout: ``rows`` is the axis of the matrices' row index (the 1-norm
+    sums over it), ``diagonal`` indexes their diagonal entries and
+    ``matmul`` multiplies two stacks of that layout."""
+    norm = float(np.abs(x).sum(axis=rows).max())
     if not math.isfinite(norm):
         raise ValueError("matrix has a non-finite (nan or inf) entry")
     squarings = 0
@@ -170,26 +224,25 @@ def small_expm(x: np.ndarray) -> np.ndarray:
     else:
         squarings = math.ceil(math.log2(norm / theta))
         x = x * 2.0 ** -squarings
-    diag = np.arange(x.shape[-1])
     if degree == 1:
         out = x.copy()
-        out[..., diag, diag] += 1.0
+        out[diagonal] += 1.0
     else:
         # p(x) = sum_j x^(3j) (c_3j + c_3j+1 x + c_3j+2 x^2), c_k = 1/k!,
         # by Horner in x^3 with the top coefficient c_m x^3 in the last block
         c = [1.0 / math.factorial(k) for k in range(degree + 1)]
-        x2 = stack_matmul(x, x)
-        x3 = stack_matmul(x2, x)
+        x2 = matmul(x, x)
+        x3 = matmul(x2, x)
         blocks = degree // 3
         out = c[degree] * x3
         for j in reversed(range(blocks)):
             if j < blocks - 1:
-                out = stack_matmul(x3, out)
+                out = matmul(x3, out)
             out += c[3 * j + 1] * x
             out += c[3 * j + 2] * x2
-            out[..., diag, diag] += c[3 * j]
+            out[diagonal] += c[3 * j]
     for _ in range(squarings):
-        out = stack_matmul(out, out)
+        out = matmul(out, out)
     return out
 
 

@@ -207,8 +207,12 @@ class Workspace:
 
 
 def _project(path, psi: np.ndarray) -> np.ndarray:
-    """Snapshot coefficients basis^dag psi of states psi, shape (n, dim)."""
-    return np.einsum("kji,kj->ki", path.basis().conj(), psi)
+    """Snapshot coefficients basis^dag psi of states psi, shape (n, dim).
+
+    Taken as conj(basis^T conj(psi)), which conjugates the states rather
+    than a copy of the whole (n, dim, dim) basis, with the same values.
+    """
+    return np.einsum("kji,kj->ki", path.basis(), psi.conj()).conj()
 
 
 @dataclass(frozen=True)
@@ -300,9 +304,14 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
     if max(vs) / min(vs) < 10.0:
         raise InsufficientSweep("sweep must span at least one decade")
     vs = sorted(vs)
-    # a point's array work releases the GIL, so threads beyond the cores
-    # this process may run on add no speed, only another point's
-    # temporaries held at once
+    # threads beyond the cores this process may run on add no speed, only
+    # another point's temporaries held at once. A point's array work
+    # releases the GIL only inside each NumPy call, and on the file route
+    # those calls are small: four points of the n = 2001 Gamma file take
+    # 29-34 ms in a pool of two and 30-32 ms one after another. Magnus
+    # steps held node-first, one zgemm call per 4x4 matrix, read 53-59
+    # against 40-43 ms, which is why dapt.propagate steps small systems
+    # node-fastest
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from dapt import (NonHermitianInput, NotAntiHermitian, unitary_deviation,
                   unitary_expm)
 from dapt.linalg import (SMALL_INNER, TAYLOR, hermitian_part, ordered_product,
-                         small_expm, stack_matmul)
+                         row_expm, row_matmul, small_expm, stack_matmul)
 
 entry = st.floats(min_value=-1.0, max_value=1.0,
                   allow_nan=False, allow_infinity=False)
@@ -220,6 +220,24 @@ def test_stack_matmul_mismatch_raises_like_matmul(a_shape, b_shape):
         stack_matmul(a, b)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_matmul_matches_matmul(d):
+    # node-fastest stacks (rows, inner, m) and (inner, cols, m) against @
+    # on the same stacks held node-first; the left operand also through a
+    # swapaxes view, as the propagator passes its transposed generators
+    rng = np.random.default_rng(40 + d)
+    for rows, cols in ((d, d), (1, d), (d, 2)):
+        a = _complex(rng, 9, rows, d)
+        b = _complex(rng, 9, d, cols)
+        fast = np.moveaxis(a, 0, -1)
+        swapped = np.swapaxes(np.swapaxes(fast, 0, 1).copy(), 0, 1)
+        for left in (fast, swapped):
+            got = np.moveaxis(row_matmul(left, np.moveaxis(b, 0, -1)), -1, 0)
+            scale = np.abs(a) @ np.abs(b)
+            assert got.shape == (9, rows, cols)
+            assert (np.abs(got - a @ b) <= 1e-14 * scale).all()
+
+
 def _scaled(rng, d, norm, anti=False):
     """A random complex d x d matrix of 1-norm ``norm`` (anti-Hermitian
     when ``anti``)."""
@@ -237,14 +255,16 @@ EXPM_NORMS = [1e-12, *(f * theta for _, theta in TAYLOR for f in (0.99, 1.01)),
 
 @pytest.mark.parametrize("norm", EXPM_NORMS)
 def test_small_expm_matches_scipy(norm):
+    # node-first (small_expm) and node-fastest (row_expm, a one-matrix
+    # (d, d, 1) stack) layouts
     rng = np.random.default_rng(int(1e6 * norm) % 2**32)
-    for d in (1, 2, 3, 4, 7, 16):
+    for d in (1, 2, 3, 4, 5, 6, 7, 16):
         for anti in (False, True):
             x = _scaled(rng, d, norm, anti)
             want = expm(x)
-            got = small_expm(x)
-            assert np.abs(got - want).max() <= 1e-13 * max(
-                1.0, np.abs(want).max()), (d, anti)
+            for got in (small_expm(x), row_expm(x[:, :, None])[:, :, 0]):
+                assert np.abs(got - want).max() <= 1e-13 * max(
+                    1.0, np.abs(want).max()), (d, anti)
 
 
 def test_small_expm_batched_matches_per_slice():
@@ -256,6 +276,23 @@ def test_small_expm_batched_matches_per_slice():
             batch = small_expm(x)
             for k in range(len(norms)):
                 assert np.abs(batch[k] - small_expm(x[k])).max() < 1e-14
+
+
+def test_row_expm_matches_small_expm():
+    # one stack, both layouts: the same degree and squarings, the same
+    # polynomial, the products rounded in another order. Each squaring may
+    # double that roundoff
+    rng = np.random.default_rng(19)
+    top = TAYLOR[-1][1]
+    for norms in ([1e-9, 1e-5, 1e-3, 0.2], [1e-9, 0.2, 3.0], [0.01] * 300):
+        squarings = max(0, int(np.ceil(np.log2(max(norms) / top))))
+        for d in range(1, 7):
+            for anti in (False, True):
+                x = np.stack([_scaled(rng, d, n, anti) for n in norms])
+                want = small_expm(x)
+                got = np.moveaxis(row_expm(np.moveaxis(x, 0, -1)), -1, 0)
+                assert np.abs(got - want).max() <= 1e-15 * 2 ** squarings \
+                    * max(1.0, np.abs(want).max()), (norms[-1], d, anti)
 
 
 def test_small_expm_is_unitary_below_top_radius():
@@ -273,3 +310,5 @@ def test_small_expm_rejects_non_finite_entries(entry):
     x[1, 0, 1] = entry
     with pytest.raises(ValueError, match="non-finite"):
         small_expm(x)
+    with pytest.raises(ValueError, match="non-finite"):
+        row_expm(np.moveaxis(x, 0, -1))

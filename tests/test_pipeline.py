@@ -302,7 +302,17 @@ def test_model_sweep_point_forms_no_states(sweep_workspaces, monkeypatch):
         assert len(row.residuals) == ws.order + 1
 
 
-@pytest.mark.parametrize("route", ["gamma", "spin", "ragged"])
+@pytest.mark.parametrize("route", ["file", "ragged"])
+def test_project_matches_conjugated_basis(sweep_workspaces, route):
+    # the projection conjugates the states, not a copy of the basis, with
+    # the same values bit for bit
+    ws = sweep_workspaces[route]
+    psi = ws.exact(0.01)[0]
+    want = np.einsum("kji,kj->ki", ws.path.basis().conj(), psi)
+    assert np.array_equal(dapt.pipeline._project(ws.path, psi), want)
+
+
+@pytest.mark.parametrize("route", ["gamma", "spin", "file", "ragged"])
 def test_sweep_rows_match_per_point_reference(sweep_workspaces, route):
     ws = sweep_workspaces[route]
     vs = [0.005, 0.01, 0.02, 0.05]

@@ -1,4 +1,6 @@
 """Reference Magnus propagator against closed forms and scipy."""
+import importlib
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,7 +8,11 @@ from scipy.linalg import expm
 
 from dapt import (Grid, NonHermitianInput, StepTooLarge, hamiltonian_samples,
                   propagate, residual)
-from dapt.propagate import MAX_PHASE, MAX_STEPS
+from dapt.propagate import MAX_PHASE, MAX_STEPS, ROW_BYTES, ROW_DIM
+from dapt.spectral import HermitianSamples
+
+# the module itself: the package binds the name propagate to the function
+PROPAGATE = importlib.import_module("dapt.propagate")
 
 
 def vel(w):
@@ -155,3 +161,58 @@ def test_residual_helper():
     b = np.zeros((5, 3))
     b[2, 1] = 0.25
     assert residual(a, b) == 0.25
+
+
+def _rotating(dim, seed):
+    """H(s) = W(s) H0 W(s)^dag, W(s) = exp(sK), for a random Hermitian H0
+    of spectral norm 1 and a random anti-Hermitian K."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h0 = x + x.conj().T
+    h0 /= np.abs(np.linalg.eigvalsh(h0)).max()
+    y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    lam, vec = np.linalg.eigh(0.5j * (y - y.conj().T))       # K = -i lam
+
+    def h(s):
+        w = (vec * np.exp(-1j * s * lam)) @ vec.conj().T
+        return w @ h0 @ w.conj().T
+    return h
+
+
+def _layouts(monkeypatch, h, grid, psi0, substeps):
+    """psi of one propagation with the steps built node-fastest, built
+    node-first, and with the default cutoff."""
+    dim = np.shape(psi0)[-1]
+    out = []
+    for row_dim in (dim, 0, ROW_DIM):
+        monkeypatch.setattr(PROPAGATE, "ROW_DIM", row_dim)
+        out.append(propagate(h, grid, psi0, 0.05, substeps=substeps).psi)
+    return out
+
+
+@pytest.mark.parametrize("dim", [ROW_DIM, ROW_DIM + 1])
+@pytest.mark.parametrize("case", ["1 substep", "3 substeps", "n = 3",
+                                  "callable", "checked samples"])
+def test_node_fastest_steps_match_node_first(monkeypatch, dim, case):
+    # 300 intervals fill more than one block in either layout, the last
+    # partly; starts are batched and single
+    n = 3 if case == "n = 3" else 301
+    assert (n - 1) % (ROW_BYTES // (16 * dim * dim)) or n == 3
+    grid = Grid.uniform(n)
+    h = _rotating(dim, seed=dim)
+    substeps = 3 if case in ("3 substeps", "callable") else 1
+    if case == "checked samples":
+        h = HermitianSamples(h, grid)
+    elif case != "callable":
+        h = hamiltonian_samples(h, grid)
+    starts = np.linalg.eigh(h(0.0) if callable(h)
+                            else hamiltonian_samples(h, grid)[0])[1][:, :2].T
+    fast, first, default = _layouts(monkeypatch, h, grid, starts, substeps)
+    assert fast.shape == (n, 2, dim)
+    assert np.abs(fast - first).max() <= 1e-14
+    # the default cutoff builds dimension ROW_DIM node-fastest, one more
+    # node-first
+    assert np.array_equal(default, fast if dim <= ROW_DIM else first)
+    for row in (0, 1):
+        for single in _layouts(monkeypatch, h, grid, starts[row], substeps):
+            assert np.abs(single - first[:, row]).max() <= 1e-14
