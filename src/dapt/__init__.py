@@ -20,8 +20,7 @@ from .errors import (ConfigError, DaptError, DegeneracyChanged,
 from .grid import Grid, central_derivative, cumulative_quadrature
 from .hamio import (read_csv, read_hamiltonian, write_csv, write_hamiltonian,
                     write_summary)
-from .holonomy import (HolonomyPath, corrected_holonomy, transport_all,
-                       wz_transport)
+from .holonomy import corrected_holonomy, transport_all, wz_transport
 from .linalg import unitary_deviation, unitary_expm
 from .models import GAMMA, PI, GammaModel, SpinHalfModel
 from .pipeline import Workspace, fit_power_law, sweep
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DaptError", "DegeneracyChanged", "DimensionMismatch",
     "DynamicalPhase", "GAMMA", "GammaModel", "GapCollapse", "Grid",
-    "GridTooSmall", "HolonomyPath", "InsufficientSweep", "NonHermitianInput",
+    "GridTooSmall", "InsufficientSweep", "NonHermitianInput",
     "NotAntiHermitian", "NotGroundStart", "PI", "RankDeficientOverlap",
     "SpectralPath", "SpinHalfModel", "StateFamily", "StepTooLarge",
     "Workspace", "advance_order", "central_derivative", "corrected_holonomy",

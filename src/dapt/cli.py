@@ -26,6 +26,7 @@ from .errors import (ConfigError, DaptError, DegeneracyChanged, GapCollapse,
                      NonHermitianInput)
 from .grid import Grid
 from .hamio import read_csv, read_hamiltonian, write_csv, write_summary
+from .linalg import unitary_deviation
 from .models import GammaModel, SpinHalfModel
 from .pipeline import Workspace, fit_power_law, sweep
 from .spectral import level_slices
@@ -193,11 +194,11 @@ def cmd_holonomy(cfg: dict):
     v = _velocity(cfg)
     cols = [("s", ws.grid.s)]
     dev = {}
-    for n, hp in enumerate(ws.holonomies):
-        d = hp.u.shape[1]
-        cols += [(f"u{n}_{i}{j}", hp.u[:, i, j])
+    for n, u in enumerate(ws.holonomies):
+        d = u.shape[1]
+        cols += [(f"u{n}_{i}{j}", u[:, i, j])
                  for i in range(d) for j in range(d)]
-        dev[f"level_{n}"] = hp.unitarity_deviation()
+        dev[f"level_{n}"] = unitary_deviation(u)
     payload = {"velocity": v, "unitarity_deviation": dev}
     if ws.order >= 1:
         corr = ws.corrected(v)

@@ -129,7 +129,7 @@ def zero_order_blocks(cs, holonomies) -> CorrectionBlocks:
     levels = range(cs.n_levels)
     out = CorrectionBlocks.zeros(0, cs.grid, dims, dims[0], {
         (m, n) for m in levels for n in levels} - {(0, 0)})
-    out.block(0, 0)[...] = holonomies[0].u
+    out.block(0, 0)[...] = holonomies[0]
     return out
 
 
@@ -153,7 +153,7 @@ def advance_order(blocks: CorrectionBlocks, cs,
     with R the recursion coupling (transposed plain coupling). Diagonal
     blocks satisfy dB'_{nn}/ds = B'_{nn} A^{nn} - G_n with
     G_n = sum_{k != n} B'_{nk} R^{kn}, whose solution is the level's
-    holonomy U = holonomies[n].u times an integrated source:
+    holonomy U = holonomies[n] times an integrated source:
         B'_{nn}(s) = (B'_{nn}(0) U(0)^dag - int_0^s G_n U^dag ds') U(s),
     from the s = 0 matching value B'_{nn}(0) = -sum_{m != n} B'_{mn}(0).
     A zero-source diagonal block is the holonomy itself, so whatever
@@ -188,7 +188,7 @@ def advance_order(blocks: CorrectionBlocks, cs,
             continue                # no source and no start: stays zero
         start = -sum((new.block(m, n)[0] for m in starts),
                      np.zeros(new.block(n, n).shape[1:], dtype=complex))
-        u = holonomies[n].u
+        u = holonomies[n]
         u_dag = np.swapaxes(u, 1, 2).conj()
         x = start @ u_dag[0]
         if sources:

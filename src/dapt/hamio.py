@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NonHermitianInput
 from .grid import Grid
-from .linalg import hermitian_part
+from .spectral import HermitianSamples
 
 FLOAT_FMT = "%.17g"
 CHUNK_BYTES = 1 << 18
@@ -47,10 +47,11 @@ def write_hamiltonian(path, samples: np.ndarray, grid: Grid,
 def read_hamiltonian(path):
     """Parse a sampled-Hamiltonian file into (grid, samples).
 
-    Returns the Hermitian part of the samples. Raises OSError for
-    unreadable paths, ConfigError for malformed content (bytes that are
-    not text included), NonHermitianInput when any node fails the
-    Hermiticity check of linalg.hermitian_part.
+    The samples come back checked, as a HermitianSamples (their Hermitian
+    part, read-only, in ``.values``), so no later stage checks them again.
+    Raises OSError for unreadable paths, ConfigError for malformed content
+    (bytes that are not text included), NonHermitianInput when any node
+    fails the Hermiticity check of linalg.hermitian_part.
     """
     try:
         with open(path) as fh:
@@ -78,7 +79,7 @@ def read_hamiltonian(path):
     except Exception as exc:
         raise ConfigError(f"{path}: bad grid: {exc}") from None
     try:
-        return grid, hermitian_part(samples)
+        return grid, HermitianSamples(samples, grid)
     except NonHermitianInput as exc:
         raise NonHermitianInput(f"{path}: {exc}") from None
 

@@ -11,18 +11,6 @@ from .linalg import ordered_product, unitary_deviation, unitary_expm
 from .spectral import level_slices
 
 
-@dataclass(frozen=True)
-class HolonomyPath:
-    """Transport matrices U(s_k) for one level, shape (n, d, d)."""
-
-    level: int
-    grid: Grid
-    u: np.ndarray
-
-    def unitarity_deviation(self) -> float:
-        return unitary_deviation(self.u)
-
-
 def wz_transport(a_nn: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve dU/ds = U A(s), U(0) = I, for anti-Hermitian A sampled on the
     grid.
@@ -51,14 +39,12 @@ def wz_transport(a_nn: np.ndarray, grid: Grid) -> np.ndarray:
 
 def transport_all(cs) -> list:
     """Wilczek-Zee transport from the identity for every level of a
-    CouplingSet: each level's midpoint exponentials
-    (engine.transport_steps) chained as wz_transport chains its own, so
-    the two agree bit for bit.
+    CouplingSet, one (n, d, d) array per level: each level's midpoint
+    exponentials (engine.transport_steps) chained as wz_transport chains
+    its own, so the two agree bit for bit.
     """
-    return [HolonomyPath(level=n, grid=cs.grid,
-                         u=ordered_product(full, np.eye(full.shape[1],
-                                                        dtype=complex)))
-            for n, full in enumerate(transport_steps(cs))]
+    return [ordered_product(steps, np.eye(steps.shape[1], dtype=complex))
+            for steps in transport_steps(cs)]
 
 
 @dataclass(frozen=True)
@@ -115,10 +101,11 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
 
     The families must hold snapshot-basis coefficients (see StateFamily);
     the zeroth order must start entirely inside the ground level (level 0),
-    whose transport is ``holonomy``. Rows of the result are raw projections
-    of psi^(0) + v psi^(1) onto the ground frame, phase-unwound by the
-    ground level's dynamical phase; no row renormalization is applied, so
-    the unitarity defect of the result is a genuine O(v^2) diagnostic.
+    whose transport is the (n, d, d) array ``holonomy``. Rows of the result
+    are raw projections of psi^(0) + v psi^(1) onto the ground frame,
+    phase-unwound by the ground level's dynamical phase; no row
+    renormalization is applied, so the unitarity defect of the result is a
+    genuine O(v^2) diagnostic.
 
     Raises NotGroundStart if the zeroth order has weight above 1e-10
     outside level 0 at s = 0.
@@ -137,5 +124,5 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
     ground = np.moveaxis(c0[:, :, sl] + velocity * c1[:, :, sl], 0, -1)
     phase_back = np.exp(1j * phases.omega[:, 0] / velocity)
     return CorrectedHolonomy(v_matrix=np.moveaxis(phase_back * ground, -1, 0),
-                             terms=(c0, c1), holonomy=holonomy.u,
+                             terms=(c0, c1), holonomy=holonomy,
                              velocity=velocity)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingSet
+from .errors import ConfigError
 from .grid import Grid
-from .holonomy import HolonomyPath
 from .spectral import SpectralPath
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -117,8 +117,9 @@ class GammaModel:
         return np.stack([row0, row1], axis=-2)
 
     def holonomies(self, grid: Grid) -> list:
+        """Per-level holonomies on the grid; both levels share one array."""
         u = self.wz_matrix(grid.s)
-        return [HolonomyPath(level=n, grid=grid, u=u) for n in (0, 1)]
+        return [u, u]
 
     def corrected_wz(self, s, velocity: float) -> np.ndarray:
         """First-order-dressed ground holonomy: scalar factor times wz_matrix."""
@@ -133,7 +134,7 @@ class GammaModel:
         om_p = np.sqrt(w * w + b * b + 2.0 * w * b * ct)
         om_m = np.sqrt(w * w + b * b - 2.0 * w * b * ct)
         if min(om_p, om_m) < 1e-12 * max(w, b):
-            raise ValueError("resonant parameters: closed form is singular")
+            raise ConfigError("resonant parameters: closed form is singular")
         t = np.asarray(s, dtype=float) / velocity
         amplitudes = []
         for om, c in ((om_p, b + w * ct), (om_m, b - w * ct)):
@@ -272,8 +273,7 @@ class SpinHalfModel:
         return np.exp(2j * np.pi * s * w2)[..., None, None]
 
     def holonomies(self, grid: Grid) -> list:
-        return [HolonomyPath(level=n, grid=grid,
-                             u=self.holonomy_phase(grid.s, n)) for n in (0, 1)]
+        return [self.holonomy_phase(grid.s, n) for n in (0, 1)]
 
     def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
         """Rotating-frame Rabi solution for the ground start, shape (..., 2).

@@ -80,7 +80,8 @@ class Workspace:
             path = model.spectral_path(grid)
             cs = model.couplings(grid)
         else:
-            # checked once here; every layer below reads the checked stack
+            # raw samples are checked here, and read_hamiltonian's keep
+            # their checked stack; every layer below reads that one stack
             samples = HermitianSamples(samples, grid)
             path = smooth_gauge(snapshot_eigensystem(
                 samples, grid, degeneracy_tol=degeneracy_tol))
@@ -163,38 +164,31 @@ class Workspace:
                         substeps=substeps)
         return res.psi, res.norm_drift, res.substeps
 
-    def exact_coefficients(self, velocity: float, label: int = 0,
-                           substeps: int = None):
-        """The reference evolution of ``exact`` in snapshot coefficients,
-        basis^dag psi, with the same (norm_drift, substeps). The model's
-        closed form gives them directly; a propagated state is projected
-        once."""
-        if self.model is not None and label == 0:
+    def exact_coefficients(self, velocity: float, substeps: int = None):
+        """The reference evolution of the label-0 start (``exact``) in
+        snapshot coefficients, basis^dag psi, with the same (norm_drift,
+        substeps). The model's closed form gives them directly; a
+        propagated state is projected once."""
+        if self.model is not None:
             return self.model.exact_coefficients(
                 self.grid.s, velocity, frames=self.path.basis()), 0.0, 0
-        psi, drift, substeps = self.exact(velocity, label=label,
-                                          substeps=substeps)
+        psi, drift, substeps = self.exact(velocity, substeps=substeps)
         return _project(self.path, psi), drift, substeps
 
-    def series_residuals(self, velocity: float, label: int = 0,
-                         exact=None, terms=()) -> list:
-        """Sup-norm mismatch of each partial sum against the reference.
+    def series_residuals(self, velocity: float, terms=()) -> list:
+        """Sup-norm mismatch of each partial sum of the label-0 start
+        against its reference, ``exact_coefficients``.
 
         Both sides are snapshot coefficients: the snapshot basis is unitary
         at every node, so their distance is the distance of the states.
-        The reference is ``exact_coefficients``, or the projection of the
-        reference states ``exact`` when they are given. The partial sums
-        are accumulated term by term, so each order is assembled once and
-        its row ``label`` read. ``terms`` may hold this velocity's leading
-        families (with row ``label``) when they are already assembled; the
+        The partial sums are accumulated term by term, so each order is
+        assembled once and its row 0 read. ``terms`` may hold this
+        velocity's leading families when they are already assembled; the
         other orders are assembled here."""
-        if exact is None:
-            ref = self.exact_coefficients(velocity, label=label)[0]
-        else:
-            ref = _project(self.path, exact)
-        rows = [t.coefficients[:, label] for t in terms[:self.order + 1]]
+        ref = self.exact_coefficients(velocity)[0]
+        rows = [t.coefficients[:, 0] for t in terms[:self.order + 1]]
         if len(rows) <= self.order:
-            rows += [t.coefficients[:, label] for t in assemble_terms(
+            rows += [t.coefficients[:, 0] for t in assemble_terms(
                 self.blocks[len(rows):self.order + 1], self.phases, velocity)]
         out = []
         for p, row in enumerate(rows):

@@ -140,6 +140,8 @@ def propagate(h, grid: Grid, psi0, velocity: float,
     """
     if velocity <= 0.0:
         raise ValueError("velocity must be positive")
+    if substeps is not None and substeps < 1:
+        raise ValueError("substeps must be at least 1")
     samples = hamiltonian_samples(h, grid)
 
     psi0 = np.asarray(psi0, dtype=complex)

@@ -107,8 +107,9 @@ class HermitianSamples:
     holds its result, read-only, as ``values``. Every function that takes
     a Hamiltonian path through hamiltonian_samples (snapshot_eigensystem,
     couplings_from_path, propagate) accepts one in place of ``h`` and does
-    not check it again, so a workspace checks its samples once however
-    many layers read them.
+    not check it again, so samples are checked once however many layers
+    read them: read_hamiltonian returns one, and Workspace.build holds it
+    as it is.
     """
 
     __slots__ = ("values",)

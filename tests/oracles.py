@@ -28,7 +28,7 @@ def j_integral(cs, holonomies, n: int, m: int) -> np.ndarray:
     W2^{nmn} = U^n R^{nm} R^{mn} U^n-dagger with R the recursion coupling;
     shape (n_nodes, d_n, d_n). Composite-Simpson accumulation.
     """
-    u = holonomies[n].u
+    u = holonomies[n]
     u_dag = np.swapaxes(u, 1, 2).conj()
     w2 = u @ cs.recursion(n, m) @ cs.recursion(m, n) @ u_dag
     integrand = w2 / cs.gap(n, m)[:, None, None]
@@ -48,9 +48,9 @@ def first_order_blocks(cs, holonomies) -> CorrectionBlocks:
     dims = tuple(cs.matrices[(n, n)].shape[1] for n in range(cs.n_levels))
     levels = range(cs.n_levels)
     out = CorrectionBlocks.zeros(1, cs.grid, dims, dims[0])
-    u_0 = holonomies[0].u
+    u_0 = holonomies[0]
     for n in levels[1:]:
-        u_n = holonomies[n].u
+        u_n = holonomies[n]
         delta_n0 = cs.gap(n, 0)[:, None, None]
         w1_0 = u_0[0] @ cs.recursion(0, n)[0] @ u_n[0].conj().T
         out.block(0, 0)[...] += 1j * (j_integral(cs, holonomies, 0, n) @ u_0)

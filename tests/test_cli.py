@@ -165,6 +165,10 @@ def test_single_level_file_runs_every_order(in_tmp, command):
     (("sweep", "--v-list", "0.1,abc"), 2),
     (("fit-order",), 2),
     (("evolve", "--hamiltonian-file", "missing.txt"), 5),
+    # at theta = 0 and w = b the Gamma closed form is singular
+    (("evolve", "--model", "gamma", "--theta", "0", "--w", "1"), 2),
+    (("sweep", "--model", "gamma", "--theta", "0",
+      "--v-list", "0.01,0.02,0.05,0.15915494309189535"), 2),
 ])
 def test_error_exit_codes(argv, code):
     assert run(*argv) == code

@@ -31,7 +31,7 @@ def test_zero_order_blocks_structure(gamma, grid801):
     assert blocks.order == 0
     assert blocks.dims == (2, 2)
     assert blocks.labels == 2
-    assert np.array_equal(blocks.block(0, 0), hols[0].u)
+    assert np.array_equal(blocks.block(0, 0), hols[0])
     assert np.abs(blocks.block(1, 1)).max() == 0.0
     assert np.abs(blocks.block(0, 1)).max() == 0.0
 

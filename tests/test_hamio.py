@@ -26,7 +26,7 @@ def test_hamiltonian_round_trip_is_bit_exact(sample_file):
     path, g, samples = sample_file
     grid2, samples2 = read_hamiltonian(path)
     assert np.array_equal(grid2.s, g.s)
-    assert np.array_equal(samples2, samples)
+    assert np.array_equal(samples2.values, samples)
 
 
 def test_random_hermitian_round_trip(tmp_path):
@@ -37,7 +37,7 @@ def test_random_hermitian_round_trip(tmp_path):
     path = tmp_path / "r.txt"
     write_hamiltonian(path, samples, g)
     _, back = read_hamiltonian(path)
-    assert np.array_equal(back, samples)
+    assert np.array_equal(back.values, samples)
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):
@@ -45,7 +45,7 @@ def test_comments_and_blank_lines_skipped(tmp_path):
     path.write_text("# leading comment\n\n1 3\n0 1,0\n\n0.5 1,0\n# mid\n1 1,0\n")
     grid, samples = read_hamiltonian(path)
     assert grid.n == 3
-    assert np.array_equal(samples, np.ones((3, 1, 1)))
+    assert np.array_equal(samples.values, np.ones((3, 1, 1)))
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -146,11 +146,11 @@ def test_one_pass_parse_matches_token_parser(tmp_path, monkeypatch):
         grid, samples = read_hamiltonian(path)
         ref_grid, ref_samples = _read_hamiltonian_reference(path)
         assert grid.s.tobytes() == ref_grid.s.tobytes()
-        assert samples.tobytes() == ref_samples.tobytes()
+        assert samples.values.tobytes() == ref_samples.tobytes()
         # the pair-only file takes the one conversion, the bare token the
         # token-by-token scan
         assert len(scans) == scanned
-    assert samples[2, 1, 1] == 7.0
+    assert samples.values[2, 1, 1] == 7.0
 
 
 @pytest.mark.parametrize("bad", ["1,x", "1,2,3", "1,,2", "1,", ",1", "1, 2"])

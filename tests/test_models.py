@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from dapt import (GAMMA, PI, GammaModel, Grid, SpinHalfModel, propagate,
-                  residual)
+from dapt import (GAMMA, PI, ConfigError, GammaModel, Grid, SpinHalfModel,
+                  propagate, residual)
 
 
 def vel(w):
@@ -148,7 +148,7 @@ def test_corrected_wz_is_scalar_dressing(gamma):
 
 def test_gamma_resonance_rejected():
     m = GammaModel(gap=1.0, cone_angle=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         m.exact_coefficients(np.array([0.5]), 1.0 / (2.0 * np.pi))
 
 

@@ -150,6 +150,10 @@ def test_input_validation(gamma, grid201):
     with pytest.raises(StepTooLarge):
         propagate(gamma.hamiltonian, grid201, psi0, vel(0.2),
                   substeps=MAX_STEPS // (grid201.n - 1) + 1)
+    for substeps in (0, -1):
+        with pytest.raises(ValueError, match="substeps must be at least 1"):
+            propagate(gamma.hamiltonian, grid201, psi0, vel(0.2),
+                      substeps=substeps)
     bad = hamiltonian_samples(gamma.hamiltonian, grid201)
     bad[7, 0, 1] += 1e-6
     with pytest.raises(NonHermitianInput):
