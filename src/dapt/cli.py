@@ -8,9 +8,9 @@ returns (cols, payload, note), and _write alone writes every output: the
 CSV of the columns, the JSON summary echoing the effective configuration
 and the stdout line.
 
-Exit codes: 0 success, 2 bad configuration or non-Hermitian input,
-3 spectral-gap collapse, 4 degeneracy structure change, 5 I/O failure,
-1 any other library error.
+Exit codes: 0 success, 2 bad configuration, non-Hermitian input or a
+sweep that cannot be fitted, 3 spectral-gap collapse, 4 degeneracy
+structure change, 5 I/O failure, 1 any other library error.
 """
 import argparse
 import json
@@ -21,14 +21,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .engine import series_state
+from .engine import assemble_terms, series_state
 from .errors import (ConfigError, DaptError, DegeneracyChanged, GapCollapse,
-                     NonHermitianInput)
+                     InsufficientSweep, NonHermitianInput)
 from .grid import Grid
 from .hamio import read_csv, read_hamiltonian, write_csv, write_summary
 from .linalg import unitary_deviation
 from .models import GammaModel, SpinHalfModel
-from .pipeline import Workspace, fit_power_law, sweep
+from .pipeline import Workspace, fit_power_law, sweep, sweep_velocities
 from .spectral import level_slices
 
 MODELS = {"gamma": GammaModel, "spin-half": SpinHalfModel}
@@ -201,12 +201,17 @@ def cmd_holonomy(cfg: dict):
         dev[f"level_{n}"] = unitary_deviation(u)
     payload = {"velocity": v, "unitarity_deviation": dev}
     if ws.order >= 1:
-        corr = ws.corrected(v)
-        _, d, dg = corr.v_matrix.shape
-        cols += [(f"v0_{i}{j}", corr.v_matrix[:, i, j])
+        terms = assemble_terms(ws.blocks[:2], ws.phases, v)
+        corr = ws.corrected(v, terms=terms)
+        _, d, dg = corr.shape
+        cols += [(f"v0_{i}{j}", corr[:, i, j])
                  for i in range(d) for j in range(dg)]
-        payload["corrected_defect"] = corr.unitarity_deviation()
-        payload["final_population"] = float(corr.population[-1].max())
+        payload["corrected_defect"] = unitary_deviation(corr)
+        # the ground-level weight of psi^(0) + v psi^(1) at s = 1
+        total = terms[0].coefficients[-1] + v * terms[1].coefficients[-1]
+        ground = np.linalg.norm(total[:, :dg], axis=1)
+        payload["final_population"] = float(
+            ((ground / np.linalg.norm(total, axis=1)) ** 2).max())
     return cols, payload, ""
 
 
@@ -257,15 +262,13 @@ def cmd_validate(cfg: dict):
 def cmd_sweep(cfg: dict):
     if not cfg["v_list"]:
         raise ConfigError("sweep requires --v-list")
-    if isinstance(cfg["v_list"], str):
+    vs = cfg["v_list"]
+    if isinstance(vs, str):
         try:
-            vs = [float(tok) for tok in cfg["v_list"].split(",") if tok.strip()]
+            vs = [float(tok) for tok in vs.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --v-list: {exc}") from None
-    else:
-        vs = [float(x) for x in cfg["v_list"]]
-    if not all(map(math.isfinite, vs)):
-        raise ConfigError(f"v_list must hold finite numbers, got {vs}")
+    vs = sweep_velocities(vs)       # before the workspace is built
     ws = _build(cfg)
     result = sweep(ws, vs, threshold=cfg["threshold"])
     cols = [("velocity", result.velocities)]
@@ -346,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the first class that a raised error is an instance of gives the exit code
-EXIT_CODES = {ConfigError: 2, NonHermitianInput: 2, GapCollapse: 3,
-              DegeneracyChanged: 4, OSError: 5, DaptError: 1}
+EXIT_CODES = {ConfigError: 2, NonHermitianInput: 2, InsufficientSweep: 2,
+              GapCollapse: 3, DegeneracyChanged: 4, OSError: 5, DaptError: 1}
 
 
 def main(argv=None) -> int:

@@ -1,13 +1,10 @@
 """Non-Abelian (Wilczek-Zee) holonomy transport and its velocity correction."""
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .engine import transport_steps
 from .errors import DimensionMismatch, NotGroundStart
 from .grid import Grid
-from .linalg import ordered_product, unitary_deviation, unitary_expm
+from .linalg import ordered_product, unitary_expm
 from .spectral import level_slices
 
 
@@ -47,65 +44,18 @@ def transport_all(cs) -> list:
             for steps in transport_steps(cs)]
 
 
-@dataclass(frozen=True)
-class CorrectedHolonomy:
-    """First-order-corrected holonomy data for the ground level (level 0).
-
-    Attributes
-    ----------
-    v_matrix : ndarray, shape (n, labels, d)
-        Ground-projected coefficient matrix of the order-truncated state
-        with the dynamical phase removed; reduces to the bare holonomy as
-        v -> 0. Not exactly unitary: its defect grows like v^2. A view of
-        node-contiguous memory.
-    terms : tuple of ndarray, shape (n, labels, dim) each
-        Snapshot coefficients of psi^(0) and psi^(1), as given.
-    holonomy : ndarray, shape (n, d, d)
-        The bare ground holonomy U.
-    velocity : float
-
-    ``population`` and ``correction`` are computed when first read.
-    """
-
-    v_matrix: np.ndarray
-    terms: tuple
-    holonomy: np.ndarray
-    velocity: float
-
-    @cached_property
-    def population(self) -> np.ndarray:
-        """Probability weight remaining in the ground level after
-        normalization, shape (n, labels)."""
-        c0, c1 = self.terms
-        total = c0 + self.velocity * c1
-        sl = slice(0, self.v_matrix.shape[2])
-        norms = np.linalg.norm(total, axis=2)
-        return (np.linalg.norm(total[:, :, sl], axis=2) / norms) ** 2
-
-    @cached_property
-    def correction(self) -> np.ndarray:
-        """Scalar correction factor extracted from V U^dagger (the deviation
-        of its mean diagonal from 1, divided by v), shape (n,), complex."""
-        u_dag = np.swapaxes(self.holonomy, 1, 2).conj()
-        d = self.v_matrix.shape[2]
-        overlap = np.einsum("kij,kji->k", self.v_matrix[:, :d, :], u_dag) / d
-        return (overlap - 1.0) / self.velocity
-
-    def unitarity_deviation(self) -> float:
-        return unitary_deviation(self.v_matrix)
-
-
-def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
-                       velocity: float) -> CorrectedHolonomy:
-    """Combine zeroth- and first-order families into a corrected holonomy.
+def corrected_holonomy(psi0_family, psi1_family, phases,
+                       velocity: float) -> np.ndarray:
+    """Combine zeroth- and first-order families into the corrected ground
+    holonomy V, shape (n, labels, d): a view of node-contiguous memory.
 
     The families must hold snapshot-basis coefficients (see StateFamily);
-    the zeroth order must start entirely inside the ground level (level 0),
-    whose transport is the (n, d, d) array ``holonomy``. Rows of the result
-    are raw projections of psi^(0) + v psi^(1) onto the ground frame,
-    phase-unwound by the ground level's dynamical phase; no row
-    renormalization is applied, so the unitarity defect of the result is a
-    genuine O(v^2) diagnostic.
+    the zeroth order must start entirely inside the ground level (level 0).
+    Rows of V are raw projections of psi^(0) + v psi^(1) onto the ground
+    frame, phase-unwound by the ground level's dynamical phase; V reduces
+    to the bare holonomy as v -> 0. No row renormalization is applied, so
+    its unitarity defect, unitary_deviation(V), is a genuine O(v^2)
+    diagnostic.
 
     Raises NotGroundStart if the zeroth order has weight above 1e-10
     outside level 0 at s = 0.
@@ -123,6 +73,4 @@ def corrected_holonomy(psi0_family, psi1_family, phases, holonomy,
     # only the ground columns of psi^(0) + v psi^(1), as rows over the nodes
     ground = np.moveaxis(c0[:, :, sl] + velocity * c1[:, :, sl], 0, -1)
     phase_back = np.exp(1j * phases.omega[:, 0] / velocity)
-    return CorrectedHolonomy(v_matrix=np.moveaxis(phase_back * ground, -1, 0),
-                             terms=(c0, c1), holonomy=holonomy,
-                             velocity=velocity)
+    return np.moveaxis(phase_back * ground, -1, 0)

@@ -13,9 +13,11 @@ first-order correction, and the correction-dressed holonomy.
 SpinHalfModel: two-dimensional Rabi problem, both levels simple; exercises
 ragged degeneracy bookkeeping and the Abelian limit of the transport.
 
-Both give their exact reference as states (exact_state) and as snapshot
-coefficients (exact_coefficients), each accepting the frames the caller
-already holds.
+Both are cone models, H(s) = (gap / 2) r(s) . GENERATORS with the axis r(s)
+on the cone, and share everything but their closed forms. A model's
+reference is the exact state started in frame column 0 at s = 0, given in
+snapshot coefficients (exact_coefficients); exact_state is frames(s) times
+them.
 """
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ import numpy as np
 from .couplings import CouplingSet
 from .errors import ConfigError
 from .grid import Grid
-from .spectral import SpectralPath
+from .spectral import SpectralPath, level_slices
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -45,8 +47,13 @@ def _axis(cone_angle: float, phi):
 
 
 @dataclass(frozen=True)
-class GammaModel:
-    """Two doubly degenerate levels split by ``gap``, axis on a cone."""
+class ConeModel:
+    """Two levels at -gap/2 and +gap/2 of dimensions ``dims``, the
+    Hamiltonian (gap / 2) r(s) . GENERATORS with its axis r(s) on a cone.
+
+    A subclass sets ``dims`` and ``GENERATORS`` and gives the closed forms
+    ``frames``, ``couplings``, ``holonomies`` and ``exact_coefficients``.
+    """
 
     gap: float = 1.0
     cone_angle: float = np.pi / 3
@@ -57,19 +64,39 @@ class GammaModel:
         if not 0.0 <= self.cone_angle <= np.pi:
             raise ValueError("cone_angle must lie in [0, pi]")
 
-    @property
-    def dims(self) -> tuple:
-        return (2, 2)
-
     def hamiltonian(self, s: float) -> np.ndarray:
         r = _axis(self.cone_angle, 2.0 * np.pi * s)
-        return (self.gap / 2.0) * sum(r[i] * GAMMA[i] for i in range(3))
+        return (self.gap / 2.0) * sum(r[i] * self.GENERATORS[i]
+                                      for i in range(3))
 
     def energies(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         half = self.gap / 2.0
         return np.stack([-half * np.ones_like(s), half * np.ones_like(s)],
                         axis=-1)
+
+    def spectral_path(self, grid: Grid) -> SpectralPath:
+        f = self.frames(grid.s)
+        return SpectralPath(grid=grid, energies=self.energies(grid.s),
+                            blocks=tuple(f[:, :, sl]
+                                         for sl in level_slices(self.dims)))
+
+    def exact_state(self, s, velocity: float) -> np.ndarray:
+        """Exact state started in frame column 0 at s = 0, shape (..., dim):
+        frames(s) times exact_coefficients(s, velocity)."""
+        return np.einsum("...ij,...j->...i", self.frames(s),
+                         self.exact_coefficients(s, velocity))
+
+
+@dataclass(frozen=True)
+class GammaModel(ConeModel):
+    """Two doubly degenerate levels split by ``gap``, axis on a cone."""
+
+    dims = (2, 2)
+    GENERATORS = GAMMA
+    # named in this class's own body, where bench/spans.py traces them
+    spectral_path = ConeModel.spectral_path
+    exact_state = ConeModel.exact_state
 
     def frames(self, s) -> np.ndarray:
         """Snapshot frame, columns [0^0, 0^1, 1^0, 1^1], shape (..., 4, 4)."""
@@ -84,11 +111,6 @@ class GammaModel:
             cols.append(np.stack([alpha.conj(), -beta, zero, -sgn * one], axis=-1))
             cols.append(np.stack([beta, alpha, -sgn * one, zero], axis=-1))
         return np.stack(cols, axis=-1) / np.sqrt(2.0)
-
-    def spectral_path(self, grid: Grid) -> SpectralPath:
-        f = self.frames(grid.s)
-        return SpectralPath(grid=grid, energies=self.energies(grid.s),
-                            blocks=(f[:, :, :2], f[:, :, 2:]))
 
     def connection(self, s) -> np.ndarray:
         """Plain coupling in d/ds units; one matrix serves every level pair."""
@@ -146,13 +168,11 @@ class GammaModel:
         a_p, b_p, a_m, b_m = amplitudes
         return a_p, a_m, b_p, b_m
 
-    def exact_coefficients(self, s, velocity: float,
-                           frames=None) -> np.ndarray:
+    def exact_coefficients(self, s, velocity: float) -> np.ndarray:
         """Snapshot coefficients of the exact state started in |0^0(0)>.
 
         Shape (..., 4), ordered like the frame columns: a view of (4, ...)
-        memory, so each column is one contiguous row. ``frames`` (accepted
-        as for SpinHalfModel.exact_coefficients) is not read.
+        memory, so each column is one contiguous row.
         """
         a_p, a_m, b_p, b_m = self._rabi(s, velocity)
         s = np.asarray(s, dtype=float)
@@ -166,14 +186,6 @@ class GammaModel:
         np.multiply(ep.conj(), st * ((1 + ct) / 2 * b_m - (1 - ct) / 2 * b_p),
                     out=out[3, ...])
         return np.moveaxis(out, 0, -1)
-
-    def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
-        """Exact state started in |0^0(0)>, shape (..., 4). ``frames`` may
-        pass frames(s) when the caller already holds them."""
-        c = self.exact_coefficients(s, velocity)
-        if frames is None:
-            frames = self.frames(s)
-        return np.einsum("...ij,...j->...i", frames, c)
 
     def daa_coefficients(self, s, velocity: float) -> np.ndarray:
         """Order-0 snapshot coefficients for the |0^0(0)> start, (..., 4)."""
@@ -207,32 +219,11 @@ class GammaModel:
 
 
 @dataclass(frozen=True)
-class SpinHalfModel:
+class SpinHalfModel(ConeModel):
     """Single spin-1/2 on the same cone protocol; both levels simple."""
 
-    gap: float = 1.0
-    cone_angle: float = np.pi / 3
-
-    def __post_init__(self):
-        if self.gap <= 0.0:
-            raise ValueError("gap must be positive")
-        if not 0.0 <= self.cone_angle <= np.pi:
-            raise ValueError("cone_angle must lie in [0, pi]")
-
-    @property
-    def dims(self) -> tuple:
-        return (1, 1)
-
-    def hamiltonian(self, s: float) -> np.ndarray:
-        r = _axis(self.cone_angle, 2.0 * np.pi * s)
-        return (self.gap / 2.0) * (r[0] * PAULI_X + r[1] * PAULI_Y
-                                   + r[2] * PAULI_Z)
-
-    def energies(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        half = self.gap / 2.0
-        return np.stack([-half * np.ones_like(s), half * np.ones_like(s)],
-                        axis=-1)
+    dims = (1, 1)
+    GENERATORS = (PAULI_X, PAULI_Y, PAULI_Z)
 
     def frames(self, s) -> np.ndarray:
         """Columns [ground, excited], shape (..., 2, 2)."""
@@ -243,11 +234,6 @@ class SpinHalfModel:
         row1 = np.stack([ch * np.ones_like(e), sh * np.ones_like(e)], axis=-1)
         return np.stack([row0, row1], axis=-2)
 
-    def spectral_path(self, grid: Grid) -> SpectralPath:
-        f = self.frames(grid.s)
-        return SpectralPath(grid=grid, energies=self.energies(grid.s),
-                            blocks=(f[:, :, :1], f[:, :, 1:]))
-
     def connection(self, s, level: int = 0) -> np.ndarray:
         """Plain in-level coupling (1x1), d/ds units."""
         s = np.asarray(s, dtype=float)
@@ -257,7 +243,6 @@ class SpinHalfModel:
 
     def couplings(self, grid: Grid) -> CouplingSet:
         ones = np.ones((grid.n, 1, 1), dtype=complex)
-        half = self.cone_angle / 2.0
         cross = 1j * np.pi * np.sin(self.cone_angle)
         mats = {(0, 0): self.connection(grid.s, 0),
                 (1, 1): self.connection(grid.s, 1),
@@ -275,39 +260,30 @@ class SpinHalfModel:
     def holonomies(self, grid: Grid) -> list:
         return [self.holonomy_phase(grid.s, n) for n in (0, 1)]
 
-    def exact_state(self, s, velocity: float, frames=None) -> np.ndarray:
-        """Rotating-frame Rabi solution for the ground start, shape (..., 2).
+    def exact_coefficients(self, s, velocity: float) -> np.ndarray:
+        """Snapshot coefficients of the exact state started in the ground
+        frame at s = 0, shape (..., 2).
 
-        It is written in the lab basis, so ``frames`` (accepted as for
-        GammaModel.exact_state) is not read."""
+        In the frame rotating with the drive the Hamiltonian is the static
+        h . sigma, h = (gap sin(theta) / 2, 0, (gap cos(theta) - w) / 2), so
+        with t = s / velocity and F0 = frames(0), which is real, symmetric
+        and its own inverse, the coefficients are
+        exp(i pi s) F0 exp(-i t h . sigma) F0[:, 0], written out here.
+        """
         w = 2.0 * np.pi * velocity
-        t = np.asarray(s, dtype=float) / velocity
+        s = np.asarray(s, dtype=float)
+        t = s / velocity
         b, theta = self.gap, self.cone_angle
         hx = 0.5 * b * np.sin(theta)
         hz = 0.5 * (b * np.cos(theta) - w)
         om = np.sqrt(hx * hx + hz * hz)
-        psi0 = np.array([-np.sin(theta / 2.0), np.cos(theta / 2.0)],
-                        dtype=complex)
-        if om < 1e-300:
-            rot = np.broadcast_to(np.eye(2, dtype=complex), t.shape + (2, 2))
-        else:
-            ang = om * t
-            cos = np.cos(ang)[..., None, None] * np.eye(2)
-            sin = np.sin(ang)[..., None, None] \
-                * (hx * PAULI_X + hz * PAULI_Z) / om
-            rot = cos - 1j * sin
-        lab = np.exp(-1j * w * t / 2.0)
-        frame = np.stack([
-            np.stack([lab, np.zeros_like(lab)], axis=-1),
-            np.stack([np.zeros_like(lab), lab.conj()], axis=-1)], axis=-2)
-        return np.einsum("...ij,...jk,k->...i", frame, rot, psi0)
-
-    def exact_coefficients(self, s, velocity: float,
-                           frames=None) -> np.ndarray:
-        """Snapshot coefficients frames(s)^dag exact_state(s), shape
-        (..., 2). ``frames`` may pass frames(s) when the caller already
-        holds them."""
-        if frames is None:
-            frames = self.frames(s)
-        return np.einsum("...ji,...j->...i", frames.conj(),
-                         self.exact_state(s, velocity))
+        ep = np.exp(1j * np.pi * s)
+        if om < 1e-300:     # h = 0: the rotating frame stands still
+            return np.stack([ep, np.zeros_like(ep)], axis=-1)
+        sin = np.sin(om * t) / om
+        # F0 sigma_x F0[:, 0] = (-sin, cos) and F0 sigma_z F0[:, 0] =
+        # (-cos, -sin) of theta
+        along = hx * np.sin(theta) + hz * np.cos(theta)
+        across = hx * np.cos(theta) - hz * np.sin(theta)
+        return np.stack([ep * (np.cos(om * t) + 1j * along * sin),
+                         -1j * across * ep * sin], axis=-1)

@@ -39,7 +39,8 @@ from .engine import (DynamicalPhase, StateFamily, ValidityReport,
                      validity_margins, zero_order_blocks)
 from .errors import ConfigError, InsufficientSweep
 from .grid import Grid
-from .holonomy import CorrectedHolonomy, corrected_holonomy, transport_all
+from .holonomy import corrected_holonomy, transport_all
+from .linalg import unitary_deviation
 from .propagate import propagate, residual, substep_count
 from .spectral import HermitianSamples, smooth_gauge, snapshot_eigensystem
 
@@ -128,16 +129,16 @@ class Workspace:
         psi1 = terms[1] if len(terms) > 1 else self.term(1, velocity)
         return validity_margins(psi1, velocity, threshold=threshold)
 
-    def corrected(self, velocity: float, terms=()) -> CorrectedHolonomy:
-        """First-order-corrected ground holonomy. ``terms`` may hold this
-        velocity's families of orders 0, 1, ... (all labels) when they are
-        already assembled."""
+    def corrected(self, velocity: float, terms=()) -> np.ndarray:
+        """First-order-corrected ground holonomy V, shape (n, labels, d)
+        (see corrected_holonomy). ``terms`` may hold this velocity's
+        families of orders 0, 1, ... (all labels) when they are already
+        assembled."""
         if self.order < 1:
             raise ConfigError("corrected holonomy needs order >= 1")
         if len(terms) < 2:
             terms = assemble_terms(self.blocks[:2], self.phases, velocity)
-        return corrected_holonomy(terms[0], terms[1], self.phases,
-                                  self.holonomies[0], velocity)
+        return corrected_holonomy(terms[0], terms[1], self.phases, velocity)
 
     def start_vector(self, label: int = 0) -> np.ndarray:
         """Ground-frame column ``label`` at s = 0."""
@@ -146,15 +147,16 @@ class Workspace:
     def exact(self, velocity: float, label: int = 0, substeps: int = None):
         """Reference evolution of the label-``label`` ground start.
 
-        Uses the model's closed form when one exists, otherwise the
+        Uses the model's closed form when one exists (the stored snapshot
+        basis times the model's exact_coefficients), otherwise the
         fourth-order Magnus propagator on the stored samples (or the
         model's Hamiltonian) at its default phase cap. Returns
         (psi, norm_drift, substeps), with 0 substeps for the closed form.
         """
         if self.model is not None and label == 0:
-            # the stored snapshot basis spares the closed form its frames
-            return self.model.exact_state(self.grid.s, velocity,
-                                          frames=self.path.basis()), 0.0, 0
+            return np.einsum("...ij,...j->...i", self.path.basis(),
+                             self.model.exact_coefficients(
+                                 self.grid.s, velocity)), 0.0, 0
         h = self.model.hamiltonian if self.model is not None else self.samples
         if substeps is None:
             # max |E| is read off the stored energies, not re-diagonalized
@@ -170,8 +172,7 @@ class Workspace:
         substeps). The model's closed form gives them directly; a
         propagated state is projected once."""
         if self.model is not None:
-            return self.model.exact_coefficients(
-                self.grid.s, velocity, frames=self.path.basis()), 0.0, 0
+            return self.model.exact_coefficients(self.grid.s, velocity), 0.0, 0
         psi, drift, substeps = self.exact(velocity, substeps=substeps)
         return _project(self.path, psi), drift, substeps
 
@@ -276,7 +277,7 @@ def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
     rep = ws.margins(velocity, threshold=threshold, terms=terms)
     gap_sup = max(rep.sup_gap.values()) if rep.sup_gap else 0.0
     if ws.order >= 1:
-        defect = ws.corrected(velocity, terms=terms).unitarity_deviation()
+        defect = unitary_deviation(ws.corrected(velocity, terms=terms))
     else:
         defect = float("nan")
     return SweepRow(velocity=velocity, residuals=tuple(res),
@@ -284,8 +285,10 @@ def _sweep_point(ws: Workspace, velocity: float, threshold: float) -> SweepRow:
                     holonomy_defect=defect)
 
 
-def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
-    """Evaluate every sweep velocity in a worker pool and fit the slopes."""
+def sweep_velocities(velocities) -> list:
+    """The sweep velocities as sorted floats; raises InsufficientSweep
+    unless they are at least 4 distinct finite positive numbers spanning
+    a decade, so that every order's slope can be fitted."""
     vs = [float(v) for v in velocities]
     if len(vs) < 4:
         raise InsufficientSweep(f"need at least 4 velocities, got {len(vs)}")
@@ -297,7 +300,12 @@ def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
         raise InsufficientSweep("velocities must be positive")
     if max(vs) / min(vs) < 10.0:
         raise InsufficientSweep("sweep must span at least one decade")
-    vs = sorted(vs)
+    return sorted(vs)
+
+
+def sweep(ws: Workspace, velocities, threshold: float = 0.1) -> SweepResult:
+    """Evaluate every sweep velocity in a worker pool and fit the slopes."""
+    vs = sweep_velocities(velocities)
     # threads beyond the cores this process may run on add no speed, only
     # another point's temporaries held at once. A point's array work
     # releases the GIL only inside each NumPy call, and on the file route

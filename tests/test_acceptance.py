@@ -172,9 +172,9 @@ def test_7_corrected_holonomy(ws_numeric):
     v = vel(0.01)
     corr = ws_numeric.corrected(v)
     target = m.corrected_wz(g.s, v)
-    rel = np.abs(corr.v_matrix - target).max() / np.abs(target).max()
+    rel = np.abs(corr - target).max() / np.abs(target).max()
     ws = [vel(w) for w in (0.005, 0.01, 0.02, 0.05, 0.1)]
-    defects = [ws_numeric.corrected(w).unitarity_deviation() for w in ws]
+    defects = [unitary_deviation(ws_numeric.corrected(w)) for w in ws]
     fit = fit_power_law(np.array(ws), np.array(defects))
     ok = rel <= 1e-5 and 1.8 <= fit.slope <= 2.2
     check("7/9 corrected holonomy", ok,

@@ -169,8 +169,15 @@ def test_single_level_file_runs_every_order(in_tmp, command):
     (("evolve", "--model", "gamma", "--theta", "0", "--w", "1"), 2),
     (("sweep", "--model", "gamma", "--theta", "0",
       "--v-list", "0.01,0.02,0.05,0.15915494309189535"), 2),
+    # a sweep whose slopes cannot be fitted is a bad flag too
+    (("sweep", "--grid-n", "101", "--v-list", "0.01,0.02,0.05"), 2),
+    (("sweep", "--grid-n", "101", "--v-list", "0.01,0.01,0.05,0.1"), 2),
+    (("sweep", "--grid-n", "101", "--v-list", "0.02,0.03,0.05,0.1"), 2),
+    (("fit-order", "--input", "three_rows.csv"), 2),
 ])
 def test_error_exit_codes(argv, code):
+    Path("three_rows.csv").write_text(
+        "velocity,residual_order0\n0.001,1e-3\n0.01,1e-2\n0.1,1e-1\n")
     assert run(*argv) == code
 
 

@@ -64,23 +64,34 @@ def test_transport_input_validation(gamma):
 
 
 def test_corrected_holonomy_defect_quadratic_in_velocity(ws_gamma):
-    defects = [ws_gamma.corrected(vel(w)).unitarity_deviation()
+    defects = [unitary_deviation(ws_gamma.corrected(vel(w)))
                for w in (0.02, 0.04, 0.08)]
     assert 3.4 < defects[1] / defects[0] < 4.6
     assert 3.4 < defects[2] / defects[1] < 4.6
 
 
 def test_corrected_holonomy_scalar_correction(gamma, ws_gamma):
-    # the dressing factor is purely imaginary and linear in s at leading order
-    corr = ws_gamma.corrected(vel(0.01))
+    # the dressing factor is purely imaginary and linear in s at leading
+    # order: the mean diagonal of V U^dag, less 1, divided by v
+    v = vel(0.01)
+    corr = ws_gamma.corrected(v)
+    u_dag = np.swapaxes(ws_gamma.holonomies[0], 1, 2).conj()
+    correction = (np.einsum("kij,kji->k", corr, u_dag) / 2 - 1.0) / v
     target = 1j * np.pi ** 2 * np.sin(gamma.cone_angle) ** 2 / gamma.gap
-    assert abs(corr.correction[-1] - target) < 1e-3
-    assert abs(corr.correction[0]) < 1e-6
+    assert abs(correction[-1] - target) < 1e-3
+    assert abs(correction[0]) < 1e-6
 
 
 def test_corrected_holonomy_population_leaks_quadratically(ws_gamma):
-    pop1 = ws_gamma.corrected(vel(0.02)).population[-1].min()
-    pop2 = ws_gamma.corrected(vel(0.04)).population[-1].min()
+    def final_population(v):
+        # ground-level weight of psi^(0) + v psi^(1) at s = 1, per label
+        total = ws_gamma.term(0, v).coefficients[-1] \
+            + v * ws_gamma.term(1, v).coefficients[-1]
+        return (np.linalg.norm(total[:, :2], axis=1)
+                / np.linalg.norm(total, axis=1)) ** 2
+
+    pop1 = final_population(vel(0.02)).min()
+    pop2 = final_population(vel(0.04)).min()
     assert 0.0 < 1.0 - pop1 < 1e-3
     assert 3.0 < (1.0 - pop2) / (1.0 - pop1) < 5.0
 
@@ -93,7 +104,7 @@ def test_corrected_holonomy_requires_ground_start(ws_gamma):
     with pytest.raises(NotGroundStart):
         corrected_holonomy(replace(psi0, coefficients=bad),
                            ws_gamma.term(1, vel(0.02)), ws_gamma.phases,
-                           ws_gamma.holonomies[0], vel(0.02))
+                           vel(0.02))
 
 
 def test_corrected_holonomy_shape_mismatch(ws_gamma):
@@ -102,7 +113,7 @@ def test_corrected_holonomy_shape_mismatch(ws_gamma):
     from dataclasses import replace
     with pytest.raises(DimensionMismatch):
         corrected_holonomy(psi0, replace(psi1, coefficients=psi1.coefficients[:, :1]),
-                           ws_gamma.phases, ws_gamma.holonomies[0], vel(0.02))
+                           ws_gamma.phases, vel(0.02))
 
 
 def test_transport_all_levels(gamma):

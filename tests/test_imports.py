@@ -1,5 +1,6 @@
 """Every name a package module or a test module imports is used there,
-and every exported name is read outside the tests."""
+and every exported name and every defined function is read outside the
+tests."""
 import ast
 import re
 from pathlib import Path
@@ -20,6 +21,17 @@ UNREAD_EXPORTS = {
     "wz_transport",
     # acceptance test 6 checks the Clifford algebra of GAMMA against it
     "PI",
+}
+
+
+# defined functions read by nothing outside the tests, each kept for a reason
+UNREAD_FUNCTIONS = {
+    # the closed form of the transport; deleting it waits on ROADMAP item 9
+    "wz_transport",
+    # acceptance test 7 checks the corrected holonomy against it
+    "corrected_wz",
+    # acceptance test 3 checks the first-order correction against it
+    "first_order_coefficients",
 }
 
 
@@ -59,11 +71,43 @@ def read_names(source: str) -> set:
             and isinstance(n.ctx, ast.Load)}
 
 
-def test_public_names_are_read_outside_tests():
+def names_read_outside_tests() -> set:
+    """Names read by the package modules other than ``__init__.py``, by
+    ``bench/*.py`` and by the README's ``python`` blocks."""
     readme = (ROOT / "README.md").read_text()
     sources = [p.read_text() for p in MODULES]
     sources += [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     sources += re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
-    read = set().union(*map(read_names, sources))
+    return set().union(*map(read_names, sources))
+
+
+def test_public_names_are_read_outside_tests():
+    read = names_read_outside_tests()
     assert {name for name in dapt.__all__ if name not in read} \
         == UNREAD_EXPORTS
+
+
+def defined_functions(source: str) -> set:
+    """Functions defined at module level or in a module-level class body,
+    less the dunder methods."""
+    body = ast.parse(source).body
+    body += [n for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+    return {n.name for n in body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))}
+
+
+def test_scan_finds_defined_functions():
+    source = ("def f(): pass\nclass C:\n    def m(self):\n"
+              "        def inner(): pass\n    def __init__(self): pass\n")
+    assert defined_functions(source) == {"f", "m"}
+
+
+def test_defined_functions_are_read_outside_tests():
+    """Every function and method the package defines is read somewhere
+    outside the tests, as a load-context name or attribute. The scan
+    matches by name alone, so a dead method that shares its name with a
+    live one (say, a second ``frames``) is not caught."""
+    defined = set().union(*(defined_functions(p.read_text())
+                            for p in SRC.glob("*.py")))
+    assert defined - names_read_outside_tests() == UNREAD_FUNCTIONS

@@ -93,28 +93,29 @@ def test_spin_exact_state_solves_schrodinger(spin):
     assert np.abs(res.psi[0] - spin.frames(0.0)[:, 0]).max() == 0.0
 
 
-def test_exact_coefficients_consistent_with_state(gamma):
+@pytest.mark.parametrize("name", ["gamma", "spin"])
+def test_exact_coefficients_consistent_with_state(gamma, spin, name):
+    model = {"gamma": gamma, "spin": spin}[name]
     s = np.linspace(0.0, 1.0, 13)
     v = vel(0.3)
-    c = gamma.exact_coefficients(s, v)
-    psi = np.einsum("kij,kj->ki", gamma.frames(s), c)
-    assert np.abs(psi - gamma.exact_state(s, v)).max() < 1e-12
+    c = model.exact_coefficients(s, v)
+    psi = np.einsum("kij,kj->ki", model.frames(s), c)
+    assert np.abs(psi - model.exact_state(s, v)).max() < 1e-12
     assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["gamma", "spin"])
 def test_exact_coefficients_project_the_exact_state(gamma, spin, name):
-    # both models give their reference as snapshot coefficients too, with
-    # or without the frames passed in; each column is one contiguous row
+    # both models give their reference as snapshot coefficients; on the
+    # Gamma model each column is one contiguous row
     model = {"gamma": gamma, "spin": spin}[name]
     s = np.linspace(0.0, 1.0, 13)
     v = vel(0.3)
     f = model.frames(s)
     want = np.einsum("kji,kj->ki", f.conj(), model.exact_state(s, v))
-    for c in (model.exact_coefficients(s, v),
-              model.exact_coefficients(s, v, frames=f)):
-        assert c.shape == (13, f.shape[-1])
-        assert np.abs(c - want).max() < 1e-12
+    c = model.exact_coefficients(s, v)
+    assert c.shape == (13, f.shape[-1])
+    assert np.abs(c - want).max() < 1e-12
     if name == "gamma":
         assert c.strides[0] == c.itemsize
 

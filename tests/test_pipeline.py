@@ -17,7 +17,7 @@ from dapt import (ConfigError, Grid, InsufficientSweep, NonHermitianInput,
                   SpectralPath, StateFamily, Workspace, corrected_holonomy,
                   couplings_from_path, fit_power_law, hamiltonian_samples,
                   propagate, read_hamiltonian, residual, snapshot_eigensystem,
-                  sweep, write_hamiltonian)
+                  sweep, unitary_deviation, write_hamiltonian)
 from dapt.pipeline import _sweep_point
 from dapt.spectral import HermitianSamples, level_slices
 from oracles import first_order_state, j_integral
@@ -239,8 +239,8 @@ def _reference_row(ws, velocity):
                             coefficients=_reference_assemble(
                                 ws.blocks[p], ws.phases, velocity))
                 for p in (0, 1)]
-    defect = corrected_holonomy(*families, ws.phases, ws.holonomies[0],
-                                velocity).unitarity_deviation()
+    defect = unitary_deviation(corrected_holonomy(*families, ws.phases,
+                                                  velocity))
     return (*res, float(secular.max()),
             max(float(e.max()) for e in excited), defect)
 
@@ -374,7 +374,7 @@ def test_blocks_and_families_are_node_contiguous(sweep_workspaces, route):
         want = _reference_assemble(blocks, ws.phases, v)[:, :labels]
         assert np.abs(c - want).max() <= 1e-15 * np.abs(want).max()
     corr = ws.corrected(v, terms=families)
-    assert _node_contiguous_view(corr.v_matrix, corr.v_matrix.base, n_nodes)
+    assert _node_contiguous_view(corr, corr.base, n_nodes)
 
 
 @pytest.mark.parametrize("route", ["gamma", "ragged"])
