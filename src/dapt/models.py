@@ -14,17 +14,19 @@ SpinHalfModel: two-dimensional Rabi problem, both levels simple; exercises
 ragged degeneracy bookkeeping and the Abelian limit of the transport.
 
 Both are cone models, H(s) = (gap / 2) r(s) . GENERATORS with the axis r(s)
-on the cone, and share everything but their closed forms. A model's
-reference is the exact state started in frame column 0 at s = 0, given in
-snapshot coefficients (exact_coefficients); exact_state is frames(s) times
-them.
+on the cone, and both are rotating families: H(s) = W(s) H0 W(s)^dag with
+W(s) = exp(sK), and frames(s) = W(s) F0 exp(s LAMBDA) for a constant
+diagonal LAMBDA. A subclass gives K and LAMBDA; the base serves one
+reference for either model, the exact state started in any frame column at
+s = 0 (exact_coefficients, in snapshot coefficients; exact_state is
+frames(s) times them). It solves the static rotating-frame problem by one
+eigendecomposition, so it holds at resonance too.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .couplings import CouplingSet
-from .errors import ConfigError
 from .grid import Grid
 from .spectral import SpectralPath, level_slices
 
@@ -51,8 +53,10 @@ class ConeModel:
     """Two levels at -gap/2 and +gap/2 of dimensions ``dims``, the
     Hamiltonian (gap / 2) r(s) . GENERATORS with its axis r(s) on a cone.
 
-    A subclass sets ``dims`` and ``GENERATORS`` and gives the closed forms
-    ``frames``, ``couplings``, ``holonomies`` and ``exact_coefficients``.
+    A subclass sets ``dims``, ``GENERATORS``, the rotation generator ``K``
+    and the frame phases ``LAMBDA`` (the diagonal of LAMBDA, each +-i pi),
+    and gives the closed forms ``frames``, ``couplings`` and
+    ``holonomies``.
     """
 
     gap: float = 1.0
@@ -63,6 +67,9 @@ class ConeModel:
             raise ValueError("gap must be positive")
         if not 0.0 <= self.cone_angle <= np.pi:
             raise ValueError("cone_angle must lie in [0, pi]")
+        # H0 and F0, read by the reference at every velocity
+        object.__setattr__(self, "_h0", self.hamiltonian(0.0))
+        object.__setattr__(self, "_f0", self.frames(0.0))
 
     def hamiltonian(self, s: float) -> np.ndarray:
         r = _axis(self.cone_angle, 2.0 * np.pi * s)
@@ -81,11 +88,43 @@ class ConeModel:
                             blocks=tuple(f[:, :, sl]
                                          for sl in level_slices(self.dims)))
 
-    def exact_state(self, s, velocity: float) -> np.ndarray:
-        """Exact state started in frame column 0 at s = 0, shape (..., dim):
-        frames(s) times exact_coefficients(s, velocity)."""
+    def exact_coefficients(self, s, velocity: float,
+                           label: int = 0) -> np.ndarray:
+        """Snapshot coefficients of the exact state started in frame column
+        ``label`` at s = 0, shape (..., dim): a view of (dim, ...) memory,
+        so each column is one contiguous row.
+
+        In the frame turning with W(s) the Hamiltonian is the static
+        G = H0 - i v K, so with (mu, P) = eigh(G) the coefficients are
+        exp(-s LAMBDA) F0^dag P exp(-i mu s / v) P^dag F0[:, label].
+        GENERATORS[1] anticommutes with H0 and K, so mu pairs as -omega,
+        +omega and the lower half's exponentials are conjugates of the
+        upper half's.
+        """
+        s = np.asarray(s, dtype=float)
+        mu, p = np.linalg.eigh(self._h0 - 1j * velocity * self.K)
+        half = len(mu) // 2
+        omega = 0.5 * (mu[half:] - mu[:half][::-1])
+        upper = [np.exp((-1j / velocity) * w * s) for w in omega]
+        rows = [r.conj() for r in upper[::-1]] + upper
+        # mix[i, j] = (F0^dag P)[i, j] (P^dag F0)[j, label]
+        mix = (self._f0.conj().T @ p) * (p.conj().T @ self._f0[:, label])
+        ep = np.exp(1j * np.pi * s)
+        out = np.empty((len(mu),) + s.shape, dtype=complex)
+        # one output row at a time, so it stays in cache
+        for i, lam in enumerate(self.LAMBDA):
+            row = out[i, ...]
+            np.multiply(mix[i, 0], rows[0], out=row)
+            for j in range(1, len(rows)):
+                row += mix[i, j] * rows[j]
+            row *= ep if lam.imag < 0 else ep.conj()
+        return np.moveaxis(out, 0, -1)
+
+    def exact_state(self, s, velocity: float, label: int = 0) -> np.ndarray:
+        """Exact state started in frame column ``label`` at s = 0, shape
+        (..., dim): frames(s) times exact_coefficients."""
         return np.einsum("...ij,...j->...i", self.frames(s),
-                         self.exact_coefficients(s, velocity))
+                         self.exact_coefficients(s, velocity, label))
 
 
 @dataclass(frozen=True)
@@ -94,6 +133,8 @@ class GammaModel(ConeModel):
 
     dims = (2, 2)
     GENERATORS = GAMMA
+    K = -np.pi * GAMMA[0] @ GAMMA[1]
+    LAMBDA = 1j * np.pi * np.array([-1.0, 1.0, -1.0, 1.0])
     # named in this class's own body, where bench/spans.py traces them
     spectral_path = ConeModel.spectral_path
     exact_state = ConeModel.exact_state
@@ -150,43 +191,6 @@ class GammaModel(ConeModel):
         factor = 1.0 + 1j * (np.pi ** 2) * velocity * s * st * st / self.gap
         return factor[..., None, None] * self.wz_matrix(s)
 
-    def _rabi(self, s, velocity: float):
-        w = 2.0 * np.pi * velocity
-        b, ct = self.gap, np.cos(self.cone_angle)
-        om_p = np.sqrt(w * w + b * b + 2.0 * w * b * ct)
-        om_m = np.sqrt(w * w + b * b - 2.0 * w * b * ct)
-        if min(om_p, om_m) < 1e-12 * max(w, b):
-            raise ConfigError("resonant parameters: closed form is singular")
-        t = np.asarray(s, dtype=float) / velocity
-        amplitudes = []
-        for om, c in ((om_p, b + w * ct), (om_m, b - w * ct)):
-            # one sine and one cosine per frequency
-            half = om * t / 2
-            sin = np.sin(half)
-            amplitudes += [np.cos(half) + 1j * (c / om) * sin,
-                           1j * (w / om) * sin]
-        a_p, b_p, a_m, b_m = amplitudes
-        return a_p, a_m, b_p, b_m
-
-    def exact_coefficients(self, s, velocity: float) -> np.ndarray:
-        """Snapshot coefficients of the exact state started in |0^0(0)>.
-
-        Shape (..., 4), ordered like the frame columns: a view of (4, ...)
-        memory, so each column is one contiguous row.
-        """
-        a_p, a_m, b_p, b_m = self._rabi(s, velocity)
-        s = np.asarray(s, dtype=float)
-        ct, st = np.cos(self.cone_angle), np.sin(self.cone_angle)
-        ep = np.exp(1j * np.pi * s)
-        out = np.empty((4,) + s.shape, dtype=complex)
-        np.multiply(ep, (1 + ct) / 2 * a_m + (1 - ct) / 2 * a_p,
-                    out=out[0, ...])
-        np.multiply(ep.conj(), st / 2 * (a_p - a_m), out=out[1, ...])
-        np.multiply(ep, st * st / 2 * (b_p + b_m), out=out[2, ...])
-        np.multiply(ep.conj(), st * ((1 + ct) / 2 * b_m - (1 - ct) / 2 * b_p),
-                    out=out[3, ...])
-        return np.moveaxis(out, 0, -1)
-
     def daa_coefficients(self, s, velocity: float) -> np.ndarray:
         """Order-0 snapshot coefficients for the |0^0(0)> start, (..., 4)."""
         s = np.asarray(s, dtype=float)
@@ -224,6 +228,8 @@ class SpinHalfModel(ConeModel):
 
     dims = (1, 1)
     GENERATORS = (PAULI_X, PAULI_Y, PAULI_Z)
+    K = -1j * np.pi * PAULI_Z
+    LAMBDA = -1j * np.pi * np.ones(2)
 
     def frames(self, s) -> np.ndarray:
         """Columns [ground, excited], shape (..., 2, 2)."""
@@ -259,31 +265,3 @@ class SpinHalfModel(ConeModel):
 
     def holonomies(self, grid: Grid) -> list:
         return [self.holonomy_phase(grid.s, n) for n in (0, 1)]
-
-    def exact_coefficients(self, s, velocity: float) -> np.ndarray:
-        """Snapshot coefficients of the exact state started in the ground
-        frame at s = 0, shape (..., 2).
-
-        In the frame rotating with the drive the Hamiltonian is the static
-        h . sigma, h = (gap sin(theta) / 2, 0, (gap cos(theta) - w) / 2), so
-        with t = s / velocity and F0 = frames(0), which is real, symmetric
-        and its own inverse, the coefficients are
-        exp(i pi s) F0 exp(-i t h . sigma) F0[:, 0], written out here.
-        """
-        w = 2.0 * np.pi * velocity
-        s = np.asarray(s, dtype=float)
-        t = s / velocity
-        b, theta = self.gap, self.cone_angle
-        hx = 0.5 * b * np.sin(theta)
-        hz = 0.5 * (b * np.cos(theta) - w)
-        om = np.sqrt(hx * hx + hz * hz)
-        ep = np.exp(1j * np.pi * s)
-        if om < 1e-300:     # h = 0: the rotating frame stands still
-            return np.stack([ep, np.zeros_like(ep)], axis=-1)
-        sin = np.sin(om * t) / om
-        # F0 sigma_x F0[:, 0] = (-sin, cos) and F0 sigma_z F0[:, 0] =
-        # (-cos, -sin) of theta
-        along = hx * np.sin(theta) + hz * np.cos(theta)
-        across = hx * np.cos(theta) - hz * np.sin(theta)
-        return np.stack([ep * (np.cos(om * t) + 1j * along * sin),
-                         -1j * across * ep * sin], axis=-1)

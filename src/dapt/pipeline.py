@@ -147,23 +147,24 @@ class Workspace:
     def exact(self, velocity: float, label: int = 0, substeps: int = None):
         """Reference evolution of the label-``label`` ground start.
 
-        Uses the model's closed form when one exists (the stored snapshot
-        basis times the model's exact_coefficients), otherwise the
-        fourth-order Magnus propagator on the stored samples (or the
-        model's Hamiltonian) at its default phase cap. Returns
+        On the model route it is the stored snapshot basis times the
+        model's exact_coefficients, closed-form for every ground label;
+        on the file route, the fourth-order Magnus propagator on the
+        stored samples at its default phase cap. Returns
         (psi, norm_drift, substeps), with 0 substeps for the closed form.
         """
-        if self.model is not None and label == 0:
+        if not 0 <= label < self.path.dims[0]:
+            raise ConfigError(f"label {label} is not a ground label")
+        if self.model is not None:
             return np.einsum("...ij,...j->...i", self.path.basis(),
                              self.model.exact_coefficients(
-                                 self.grid.s, velocity)), 0.0, 0
-        h = self.model.hamiltonian if self.model is not None else self.samples
+                                 self.grid.s, velocity, label)), 0.0, 0
         if substeps is None:
             # max |E| is read off the stored energies, not re-diagonalized
             substeps = substep_count(float(np.abs(self.path.energies).max()),
                                      self.grid.h, velocity)
-        res = propagate(h, self.grid, self.start_vector(label), velocity,
-                        substeps=substeps)
+        res = propagate(self.samples, self.grid, self.start_vector(label),
+                        velocity, substeps=substeps)
         return res.psi, res.norm_drift, res.substeps
 
     def exact_coefficients(self, velocity: float, substeps: int = None):

@@ -1,9 +1,16 @@
 """Benchmark models: algebra, frames, closed forms, mutual consistency."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from dapt import (GAMMA, PI, ConfigError, GammaModel, Grid, SpinHalfModel,
-                  propagate, residual)
+from dapt import (GAMMA, PI, GammaModel, Grid, SpinHalfModel, propagate,
+                  residual)
+from oracles import gamma_exact_coefficients, spin_exact_coefficients
+
+ORACLES = {GammaModel: gamma_exact_coefficients,
+           SpinHalfModel: spin_exact_coefficients}
 
 
 def vel(w):
@@ -147,10 +154,71 @@ def test_corrected_wz_is_scalar_dressing(gamma):
     assert np.abs(gamma.corrected_wz(s, v) - want).max() < 1e-14
 
 
-def test_gamma_resonance_rejected():
-    m = GammaModel(gap=1.0, cone_angle=0.0)
-    with pytest.raises(ConfigError):
-        m.exact_coefficients(np.array([0.5]), 1.0 / (2.0 * np.pi))
+@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
+def test_rotating_reference_matches_closed_forms(cls):
+    # the hand-derived Rabi forms, off resonance, against the one
+    # eigendecomposition of the rotating-frame Hamiltonian
+    s = Grid.uniform(16001).s
+    worst = 0.0
+    for cone_angle in (0.1, 1.0, 2.5):
+        for gap in (0.5, 2.0):
+            m = cls(gap=gap, cone_angle=cone_angle)
+            for v in (0.002, 0.02, 0.05, 0.3):
+                got = m.exact_coefficients(s, v)
+                worst = max(worst, np.abs(got - ORACLES[cls](m, s, v)).max())
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
+@pytest.mark.parametrize("gap,cone_angle", [(1.0, np.pi / 3), (0.7, 0.0),
+                                            (2.0, 2.5), (1.3, np.pi)])
+def test_rotation_constants(cls, gap, cone_angle):
+    # the reference rests on H(s) = W H0 W^dag and frames(s) = W F0
+    # exp(s LAMBDA) with W = exp(sK) and each frame phase +-i pi, and on
+    # GENERATORS[1] mirroring the spectrum of H0 - i v K about zero
+    m = cls(gap=gap, cone_angle=cone_angle)
+    assert np.all(m.LAMBDA.real == 0.0) and np.all(np.abs(m.LAMBDA) == np.pi)
+    h0, f0 = m.hamiltonian(0.0), m.frames(0.0)
+    for s in np.linspace(0.0, 1.0, 9):
+        w = expm(s * m.K)
+        assert np.abs(w @ h0 @ w.conj().T - m.hamiltonian(s)).max() < 1e-14
+        want = w @ f0 * np.exp(s * m.LAMBDA)
+        assert np.abs(m.frames(s) - want).max() < 1e-14
+    c = m.GENERATORS[1]
+    for v in (0.002, 0.05, 1.0 / (2.0 * np.pi), 3.0):
+        g = h0 - 1j * v * m.K
+        assert np.abs(c @ g @ c.conj().T + g).max() < 1e-14
+
+
+@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
+def test_resonance_is_solved(cls):
+    # at theta = 0 and w = gap the hand-derived forms are singular; the
+    # rotating-frame reference is not
+    m = cls(gap=1.0, cone_angle=0.0)
+    g = Grid.uniform(2001)
+    v = 1.0 / (2.0 * np.pi)
+    c = m.exact_coefficients(g.s, v)
+    assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() < 1e-13
+    res = propagate(m.hamiltonian, g, m.frames(0.0)[:, 0], v, substeps=8)
+    assert residual(res.psi, m.exact_state(g.s, v)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(cls=st.sampled_from([GammaModel, SpinHalfModel]),
+       gap=st.floats(0.1, 5.0),
+       cone_angle=st.one_of(st.sampled_from([0.0, np.pi]),
+                            st.floats(0.0, np.pi)),
+       ratio=st.one_of(st.just(1.0), st.floats(0.01, 5.0)))
+def test_reference_is_unitary(cls, gap, cone_angle, ratio):
+    # ratio 1 at cone angle 0 or pi is a resonance, w = gap
+    m = cls(gap=gap, cone_angle=cone_angle)
+    v = ratio * gap / (2.0 * np.pi)
+    s = np.linspace(0.0, 1.0, 201)
+    cols = [m.exact_coefficients(s, v, label) for label in range(m.dims[0])]
+    for c in cols:
+        assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() < 1e-13
+    if len(cols) == 2:
+        assert np.abs(np.sum(cols[0].conj() * cols[1], axis=1)).max() < 1e-13
 
 
 def test_spin_holonomy_is_berry_phase(spin):

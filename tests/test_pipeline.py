@@ -66,10 +66,28 @@ def test_start_vector_is_ground_frame_column(gamma, ws_gamma):
     assert np.abs(got1 - gamma.frames(0.0)[:, 1]).max() < 1e-14
 
 
-def test_exact_uses_model_closed_form(gamma, ws_gamma):
-    psi, drift, substeps = ws_gamma.exact(vel(0.05))
+@pytest.mark.parametrize("label", [0, 1])
+def test_exact_uses_model_closed_form(gamma, ws_gamma, label):
+    # every ground label is served in closed form, and none propagates
+    psi, drift, substeps = ws_gamma.exact(vel(0.05), label=label)
     assert drift == 0.0 and substeps == 0
-    assert np.abs(psi - gamma.exact_state(ws_gamma.grid.s, vel(0.05))).max() == 0.0
+    want = gamma.exact_state(ws_gamma.grid.s, vel(0.05), label)
+    assert np.abs(psi - want).max() == 0.0
+    res = propagate(gamma.hamiltonian, ws_gamma.grid,
+                    gamma.frames(0.0)[:, label], vel(0.05), substeps=20)
+    assert residual(res.psi, psi) < 1e-8
+
+
+def test_exact_rejects_labels_outside_the_ground_level(gamma, ws_gamma):
+    # a model could start in any frame column, a file only in the ground
+    # level; both routes take ground labels alone
+    g = Grid.uniform(101)
+    ws_file = Workspace.build(samples=hamiltonian_samples(gamma.hamiltonian, g),
+                              grid=g)
+    for ws in (ws_gamma, ws_file):
+        for label in (-1, 2):
+            with pytest.raises(ConfigError, match="ground label"):
+                ws.exact(vel(0.05), label=label)
 
 
 def test_exact_reads_stored_frames(gamma, spin, ws_gamma, monkeypatch):
