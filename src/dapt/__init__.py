@@ -7,8 +7,9 @@ corrections, adiabaticity validity margins, and an exact reference
 propagator, plus two benchmark models with closed-form solutions.
 
 The independent references the order recursion is tested against (the
-closed-form first-order blocks, the J-integral, the order-0 family and the
-frame-derivative couplings) live with the tests, in tests/oracles.py.
+closed-form first-order blocks, the J-integral, the order-0 family, the
+frame-derivative couplings and the models' hand-derived closed forms)
+live with the tests, in tests/oracles.py.
 """
 from .couplings import couplings_from_path
 from .engine import (DynamicalPhase, StateFamily, advance_order, series_state,
@@ -22,7 +23,7 @@ from .hamio import (read_csv, read_hamiltonian, write_csv, write_hamiltonian,
                     write_summary)
 from .holonomy import corrected_holonomy, transport_all, wz_transport
 from .linalg import unitary_deviation, unitary_expm
-from .models import GAMMA, PI, GammaModel, SpinHalfModel
+from .models import GAMMA, GammaModel, SpinHalfModel
 from .pipeline import Workspace, fit_power_law, sweep
 from .propagate import propagate, residual
 from .spectral import (SpectralPath, hamiltonian_samples, smooth_gauge,
@@ -34,7 +35,7 @@ __all__ = [
     "ConfigError", "DaptError", "DegeneracyChanged", "DimensionMismatch",
     "DynamicalPhase", "GAMMA", "GammaModel", "GapCollapse", "Grid",
     "GridTooSmall", "InsufficientSweep", "NonHermitianInput",
-    "NotAntiHermitian", "NotGroundStart", "PI", "RankDeficientOverlap",
+    "NotAntiHermitian", "NotGroundStart", "RankDeficientOverlap",
     "SpectralPath", "SpinHalfModel", "StateFamily", "StepTooLarge",
     "Workspace", "advance_order", "central_derivative", "corrected_holonomy",
     "couplings_from_path", "cumulative_quadrature", "fit_power_law",

@@ -7,8 +7,7 @@ drive frequency is 2*pi*velocity. Closed-form expressions that depend on
 how fast the cone is traversed therefore take the velocity explicitly.
 
 GammaModel: four-dimensional, two levels of double degeneracy, non-Abelian
-holonomies, exact solution, and closed forms for the adiabatic state, its
-first-order correction, and the correction-dressed holonomy.
+holonomies and an exact solution.
 
 SpinHalfModel: two-dimensional Rabi problem, both levels simple; exercises
 ragged degeneracy bookkeeping and the Abelian limit of the transport.
@@ -16,11 +15,16 @@ ragged degeneracy bookkeeping and the Abelian limit of the transport.
 Both are cone models, H(s) = (gap / 2) r(s) . GENERATORS with the axis r(s)
 on the cone, and both are rotating families: H(s) = W(s) H0 W(s)^dag with
 W(s) = exp(sK), and frames(s) = W(s) F0 exp(s LAMBDA) for a constant
-diagonal LAMBDA. A subclass gives K and LAMBDA; the base serves one
-reference for either model, the exact state started in any frame column at
-s = 0 (exact_coefficients, in snapshot coefficients; exact_state is
-frames(s) times them). It solves the static rotating-frame problem by one
-eigendecomposition, so it holds at resonance too.
+diagonal LAMBDA. A subclass gives only dims, GENERATORS, K, LAMBDA and
+frames. The base derives the rest from them: the couplings
+exp(-s LAMBDA) (C + LAMBDA) exp(s LAMBDA) and the holonomies
+exp(s conj(C_nn)) exp(-s LAMBDA_n), with the constant C = F0^dag K F0,
+and one reference for either model, the exact state started in any frame
+column at s = 0 (exact_coefficients, in snapshot coefficients;
+exact_state is frames(s) times them). The reference solves the static
+rotating-frame problem by one eigendecomposition, so it holds at
+resonance too. The hand-derived closed forms of both models live with
+the tests, in tests/oracles.py, as independent checks.
 """
 from dataclasses import dataclass
 
@@ -35,10 +39,8 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Clifford triple underlying the four-level model: pairwise anticommuting,
-# each squaring to the identity. Commutators close on the PI triple:
-# [GAMMA_i, GAMMA_j] = 2i eps_ijk PI_k.
+# each squaring to the identity.
 GAMMA = tuple(np.kron(PAULI_X, p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
-PI = tuple(np.kron(np.eye(2), p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def _axis(cone_angle: float, phi):
@@ -53,23 +55,26 @@ class ConeModel:
     """Two levels at -gap/2 and +gap/2 of dimensions ``dims``, the
     Hamiltonian (gap / 2) r(s) . GENERATORS with its axis r(s) on a cone.
 
-    A subclass sets ``dims``, ``GENERATORS``, the rotation generator ``K``
-    and the frame phases ``LAMBDA`` (the diagonal of LAMBDA, each +-i pi),
-    and gives the closed forms ``frames``, ``couplings`` and
-    ``holonomies``.
+    A subclass gives only ``dims``, ``GENERATORS``, the rotation generator
+    ``K``, the frame phases ``LAMBDA`` (the diagonal of LAMBDA, each
+    +-i pi) and the closed-form ``frames``; the couplings, holonomies and
+    exact reference are derived from them.
     """
 
     gap: float = 1.0
     cone_angle: float = np.pi / 3
 
     def __post_init__(self):
-        if self.gap <= 0.0:
-            raise ValueError("gap must be positive")
+        if not 0.0 < self.gap < np.inf:
+            raise ValueError("gap must be positive and finite")
         if not 0.0 <= self.cone_angle <= np.pi:
             raise ValueError("cone_angle must lie in [0, pi]")
-        # H0 and F0, read by the reference at every velocity
+        # H0, F0 and C = F0^dag K F0, read by the reference at every
+        # velocity and by the couplings and holonomies
+        f0 = self.frames(0.0)
         object.__setattr__(self, "_h0", self.hamiltonian(0.0))
-        object.__setattr__(self, "_f0", self.frames(0.0))
+        object.__setattr__(self, "_f0", f0)
+        object.__setattr__(self, "_c", f0.conj().T @ self.K @ f0)
 
     def hamiltonian(self, s: float) -> np.ndarray:
         r = _axis(self.cone_angle, 2.0 * np.pi * s)
@@ -87,6 +92,53 @@ class ConeModel:
         return SpectralPath(grid=grid, energies=self.energies(grid.s),
                             blocks=tuple(f[:, :, sl]
                                          for sl in level_slices(self.dims)))
+
+    def couplings(self, grid: Grid) -> CouplingSet:
+        """Plain couplings B^dag B' = exp(-s LAMBDA) D exp(s LAMBDA), the
+        constant D = C + LAMBDA: entry (i, j) is D_ij exp(s (LAMBDA_j -
+        LAMBDA_i)), and each exponent is 0 or +-2 i pi s."""
+        turn = np.exp(2j * np.pi * grid.s)
+        # columns 0, 1, -1 hold the phase rows of exponents 0, +-2 i pi s
+        rows = np.stack([np.ones_like(turn), turn, turn.conj()], axis=-1)
+        # LAMBDA in turns, each +-1/2, so a difference is 0 or +-1
+        turns = self.LAMBDA.imag / (2.0 * np.pi)
+        d = self._c + np.diag(self.LAMBDA)
+        slices = level_slices(self.dims)
+        mats = {}
+        for n, a in enumerate(slices):
+            for k, b in enumerate(slices):
+                steps = np.rint(turns[b][None, :]
+                                - turns[a][:, None]).astype(int)
+                mats[(n, k)] = rows[:, steps] * d[a, b]
+        return CouplingSet(grid=grid, energies=self.energies(grid.s),
+                           matrices=mats)
+
+    def holonomies(self, grid: Grid) -> list:
+        """Per-level holonomies, each solving dU/ds = U conj(M_nn) from the
+        identity: U_n(s) = exp(s conj(C_nn)) exp(-s LAMBDA_n), shape
+        (n_nodes, d_n, d_n).
+
+        With (w, V) = eigh(i conj(C_nn)) the first factor is
+        V exp(-i w s) V^dag: d_n multiply-adds per entry.
+        """
+        s = grid.s
+        ep = np.exp(1j * np.pi * s)
+        # each LAMBDA_g is -i pi or +i pi, so exp(-s LAMBDA_g) is ep or ep*
+        back = [ep if lam.imag < 0 else ep.conj() for lam in self.LAMBDA]
+        out = []
+        for a in level_slices(self.dims):
+            w, v = np.linalg.eigh(1j * self._c[a, a].conj())
+            rows = [np.exp(-1j * x * s) for x in w]
+            u = np.empty((len(s), len(w), len(w)), dtype=complex)
+            for h, g in np.ndindex(len(w), len(w)):
+                mix = v[h] * v[g].conj()
+                entry = u[:, h, g]
+                np.multiply(mix[0], rows[0], out=entry)
+                for j in range(1, len(w)):
+                    entry += mix[j] * rows[j]
+                entry *= back[a][g]
+            out.append(u)
+        return out
 
     def exact_coefficients(self, s, velocity: float,
                            label: int = 0) -> np.ndarray:
@@ -137,6 +189,8 @@ class GammaModel(ConeModel):
     LAMBDA = 1j * np.pi * np.array([-1.0, 1.0, -1.0, 1.0])
     # named in this class's own body, where bench/spans.py traces them
     spectral_path = ConeModel.spectral_path
+    couplings = ConeModel.couplings
+    holonomies = ConeModel.holonomies
     exact_state = ConeModel.exact_state
 
     def frames(self, s) -> np.ndarray:
@@ -152,74 +206,6 @@ class GammaModel(ConeModel):
             cols.append(np.stack([alpha.conj(), -beta, zero, -sgn * one], axis=-1))
             cols.append(np.stack([beta, alpha, -sgn * one, zero], axis=-1))
         return np.stack(cols, axis=-1) / np.sqrt(2.0)
-
-    def connection(self, s) -> np.ndarray:
-        """Plain coupling in d/ds units; one matrix serves every level pair."""
-        s = np.asarray(s, dtype=float)
-        st, ct = np.sin(self.cone_angle), np.cos(self.cone_angle)
-        e = np.exp(2j * np.pi * s)
-        row0 = np.stack([st * st * np.ones_like(e), e * st * ct], axis=-1)
-        row1 = np.stack([e.conj() * st * ct, -st * st * np.ones_like(e)], axis=-1)
-        return -1j * np.pi * np.stack([row0, row1], axis=-2)
-
-    def couplings(self, grid: Grid) -> CouplingSet:
-        m = self.connection(grid.s)
-        mats = {(n, k): m for n in (0, 1) for k in (0, 1)}
-        return CouplingSet(grid=grid, energies=self.energies(grid.s),
-                           matrices=mats)
-
-    def wz_matrix(self, s) -> np.ndarray:
-        """Holonomy of either level, shape (..., 2, 2)."""
-        s = np.asarray(s, dtype=float)
-        ct, st = np.cos(self.cone_angle), np.sin(self.cone_angle)
-        half = np.pi * s
-        z1 = np.exp(1j * half) * (np.cos(half * ct) - 1j * ct * np.sin(half * ct))
-        z2 = 1j * np.exp(1j * half) * st * np.sin(half * ct)
-        row0 = np.stack([z1, -z2.conj()], axis=-1)
-        row1 = np.stack([z2, z1.conj()], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
-    def holonomies(self, grid: Grid) -> list:
-        """Per-level holonomies on the grid; both levels share one array."""
-        u = self.wz_matrix(grid.s)
-        return [u, u]
-
-    def corrected_wz(self, s, velocity: float) -> np.ndarray:
-        """First-order-dressed ground holonomy: scalar factor times wz_matrix."""
-        s = np.asarray(s, dtype=float)
-        st = np.sin(self.cone_angle)
-        factor = 1.0 + 1j * (np.pi ** 2) * velocity * s * st * st / self.gap
-        return factor[..., None, None] * self.wz_matrix(s)
-
-    def daa_coefficients(self, s, velocity: float) -> np.ndarray:
-        """Order-0 snapshot coefficients for the |0^0(0)> start, (..., 4)."""
-        s = np.asarray(s, dtype=float)
-        u = self.wz_matrix(s)
-        phase = np.exp(1j * self.gap * s / (2.0 * velocity))
-        zero = np.zeros_like(phase)
-        return np.stack([phase * u[..., 0, 0], phase * u[..., 0, 1],
-                         zero, zero], axis=-1)
-
-    def first_order_coefficients(self, s, velocity: float) -> np.ndarray:
-        """Closed-form psi^(1) snapshot coefficients, |0^0(0)> start.
-
-        Normalized so that exact = daa + velocity * first_order + O(v^2).
-        """
-        s = np.asarray(s, dtype=float)
-        b = self.gap
-        ct, st = np.cos(self.cone_angle), np.sin(self.cone_angle)
-        u = self.wz_matrix(s)
-        z1, z2 = u[..., 0, 0], u[..., 1, 0]
-        half = b * s / (2.0 * velocity)
-        secular = 1j * (np.pi ** 2) * s * st * st / b
-        c10 = 2j * np.pi / b * np.sin(half) * st * (z1 * st + z2 * ct)
-        c11 = 2 * np.pi / b * (np.cos(half) * z2.conj()
-                               + 1j * np.sin(half) * ct
-                               * (z1.conj() * st + z2.conj() * ct))
-        out = secular[..., None] * self.daa_coefficients(s, velocity)
-        out[..., 2] += c10
-        out[..., 3] += c11
-        return out
 
 
 @dataclass(frozen=True)
@@ -239,29 +225,3 @@ class SpinHalfModel(ConeModel):
         row0 = np.stack([-e * sh, e * ch], axis=-1)
         row1 = np.stack([ch * np.ones_like(e), sh * np.ones_like(e)], axis=-1)
         return np.stack([row0, row1], axis=-2)
-
-    def connection(self, s, level: int = 0) -> np.ndarray:
-        """Plain in-level coupling (1x1), d/ds units."""
-        s = np.asarray(s, dtype=float)
-        half = self.cone_angle / 2.0
-        w2 = np.sin(half) ** 2 if level == 0 else np.cos(half) ** 2
-        return (-2j * np.pi * w2) * np.ones_like(s)[..., None, None]
-
-    def couplings(self, grid: Grid) -> CouplingSet:
-        ones = np.ones((grid.n, 1, 1), dtype=complex)
-        cross = 1j * np.pi * np.sin(self.cone_angle)
-        mats = {(0, 0): self.connection(grid.s, 0),
-                (1, 1): self.connection(grid.s, 1),
-                (0, 1): cross * ones, (1, 0): cross * ones}
-        return CouplingSet(grid=grid, energies=self.energies(grid.s),
-                           matrices=mats)
-
-    def holonomy_phase(self, s, level: int = 0) -> np.ndarray:
-        """Closed-form Abelian holonomy U^level(s), shape (..., 1, 1)."""
-        s = np.asarray(s, dtype=float)
-        half = self.cone_angle / 2.0
-        w2 = np.sin(half) ** 2 if level == 0 else np.cos(half) ** 2
-        return np.exp(2j * np.pi * s * w2)[..., None, None]
-
-    def holonomies(self, grid: Grid) -> list:
-        return [self.holonomy_phase(grid.s, n) for n in (0, 1)]

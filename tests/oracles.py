@@ -5,8 +5,11 @@ They share the package's data types and assembly but not its order
 recursion (engine.advance_order): the first-order blocks are built from the
 J-integral, the mixing and the s = 0 matching pieces directly, and the
 couplings by differentiating every frame, with no Hamiltonian derivative.
-The two cone models' exact references are hand-derived closed forms here,
-independent of the models' rotating-frame eigendecomposition.
+The two cone models' hand-derived closed forms are here too: their
+couplings, holonomies and exact references, and the Gamma model's
+adiabatic state, first-order correction and corrected holonomy. They are
+independent of the constants K and LAMBDA from which the models derive
+their couplings, holonomies and references.
 """
 import numpy as np
 
@@ -15,7 +18,12 @@ from dapt.engine import (CorrectionBlocks, DynamicalPhase, StateFamily,
                          assemble_terms, zero_order_blocks)
 from dapt.errors import ConfigError
 from dapt.grid import central_derivative, cumulative_quadrature
+from dapt.models import PAULI_X, PAULI_Y, PAULI_Z, GammaModel
 from dapt.spectral import SpectralPath
+
+# [GAMMA_i, GAMMA_j] = 2i eps_ijk PI_k: the commutators of the Clifford
+# triple close on this triple
+PI = tuple(np.kron(np.eye(2), p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def daa_state(cs, holonomies, phases: DynamicalPhase,
@@ -152,3 +160,102 @@ def spin_exact_coefficients(model, s, velocity: float) -> np.ndarray:
     across = hx * np.cos(theta) - hz * np.sin(theta)
     return np.stack([ep * (np.cos(om * t) + 1j * along * sin),
                      -1j * across * ep * sin], axis=-1)
+
+
+def gamma_connection(model, s) -> np.ndarray:
+    """Plain coupling in d/ds units; one matrix serves every level pair."""
+    s = np.asarray(s, dtype=float)
+    st, ct = np.sin(model.cone_angle), np.cos(model.cone_angle)
+    e = np.exp(2j * np.pi * s)
+    row0 = np.stack([st * st * np.ones_like(e), e * st * ct], axis=-1)
+    row1 = np.stack([e.conj() * st * ct, -st * st * np.ones_like(e)], axis=-1)
+    return -1j * np.pi * np.stack([row0, row1], axis=-2)
+
+
+def wz_matrix(model, s) -> np.ndarray:
+    """Holonomy of either Gamma level, shape (..., 2, 2)."""
+    s = np.asarray(s, dtype=float)
+    ct, st = np.cos(model.cone_angle), np.sin(model.cone_angle)
+    half = np.pi * s
+    z1 = np.exp(1j * half) * (np.cos(half * ct) - 1j * ct * np.sin(half * ct))
+    z2 = 1j * np.exp(1j * half) * st * np.sin(half * ct)
+    row0 = np.stack([z1, -z2.conj()], axis=-1)
+    row1 = np.stack([z2, z1.conj()], axis=-1)
+    return np.stack([row0, row1], axis=-2)
+
+
+def corrected_wz(model, s, velocity: float) -> np.ndarray:
+    """First-order-dressed ground holonomy: scalar factor times wz_matrix."""
+    s = np.asarray(s, dtype=float)
+    st = np.sin(model.cone_angle)
+    factor = 1.0 + 1j * (np.pi ** 2) * velocity * s * st * st / model.gap
+    return factor[..., None, None] * wz_matrix(model, s)
+
+
+def daa_coefficients(model, s, velocity: float) -> np.ndarray:
+    """Order-0 snapshot coefficients for the |0^0(0)> start, (..., 4)."""
+    s = np.asarray(s, dtype=float)
+    u = wz_matrix(model, s)
+    phase = np.exp(1j * model.gap * s / (2.0 * velocity))
+    zero = np.zeros_like(phase)
+    return np.stack([phase * u[..., 0, 0], phase * u[..., 0, 1],
+                     zero, zero], axis=-1)
+
+
+def first_order_coefficients(model, s, velocity: float) -> np.ndarray:
+    """Closed-form psi^(1) snapshot coefficients, |0^0(0)> start.
+
+    Normalized so that exact = daa + velocity * first_order + O(v^2).
+    """
+    s = np.asarray(s, dtype=float)
+    b = model.gap
+    ct, st = np.cos(model.cone_angle), np.sin(model.cone_angle)
+    u = wz_matrix(model, s)
+    z1, z2 = u[..., 0, 0], u[..., 1, 0]
+    half = b * s / (2.0 * velocity)
+    secular = 1j * (np.pi ** 2) * s * st * st / b
+    c10 = 2j * np.pi / b * np.sin(half) * st * (z1 * st + z2 * ct)
+    c11 = 2 * np.pi / b * (np.cos(half) * z2.conj()
+                           + 1j * np.sin(half) * ct
+                           * (z1.conj() * st + z2.conj() * ct))
+    out = secular[..., None] * daa_coefficients(model, s, velocity)
+    out[..., 2] += c10
+    out[..., 3] += c11
+    return out
+
+
+def spin_connection(model, s, level: int = 0) -> np.ndarray:
+    """Plain in-level coupling (1x1) of the SpinHalfModel, d/ds units."""
+    s = np.asarray(s, dtype=float)
+    half = model.cone_angle / 2.0
+    w2 = np.sin(half) ** 2 if level == 0 else np.cos(half) ** 2
+    return (-2j * np.pi * w2) * np.ones_like(s)[..., None, None]
+
+
+def holonomy_phase(model, s, level: int = 0) -> np.ndarray:
+    """Closed-form Abelian holonomy U^level(s) of the SpinHalfModel, shape
+    (..., 1, 1)."""
+    s = np.asarray(s, dtype=float)
+    half = model.cone_angle / 2.0
+    w2 = np.sin(half) ** 2 if level == 0 else np.cos(half) ** 2
+    return np.exp(2j * np.pi * s * w2)[..., None, None]
+
+
+def closed_couplings(model, s) -> dict:
+    """Either cone model's plain couplings by level pair, from the forms
+    above; the spin-1/2 levels couple by the constant i pi sin(theta)."""
+    if isinstance(model, GammaModel):
+        m = gamma_connection(model, s)
+        return {(n, k): m for n in (0, 1) for k in (0, 1)}
+    cross = 1j * np.pi * np.sin(model.cone_angle) \
+        * np.ones_like(np.asarray(s, dtype=float))[..., None, None]
+    return {(0, 0): spin_connection(model, s, 0),
+            (1, 1): spin_connection(model, s, 1),
+            (0, 1): cross, (1, 0): cross}
+
+
+def closed_holonomies(model, s) -> list:
+    """Either cone model's per-level holonomies, from the forms above."""
+    if isinstance(model, GammaModel):
+        return [wz_matrix(model, s)] * 2
+    return [holonomy_phase(model, s, n) for n in (0, 1)]

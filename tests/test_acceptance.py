@@ -8,11 +8,12 @@ is noted inline.
 import numpy as np
 import pytest
 
-from dapt import (GAMMA, PI, DynamicalPhase, GammaModel, Grid, SpinHalfModel,
+from dapt import (GAMMA, DynamicalPhase, GammaModel, Grid, SpinHalfModel,
                   Workspace, fit_power_law, propagate, residual, sweep,
                   transport_all, unitary_deviation)
-from oracles import (couplings_via_frame_derivatives, daa_state,
-                     first_order_state)
+from oracles import (PI, corrected_wz, couplings_via_frame_derivatives,
+                     daa_coefficients, daa_state, first_order_coefficients,
+                     first_order_state, wz_matrix)
 
 B = 1.0
 THETAS = (np.pi / 6, np.pi / 3, np.pi / 2)
@@ -58,7 +59,7 @@ def test_1_wilczek_zee_transport(transports):
     # measured: 4.9e-7 worst at N=4001, ratios 4.00, pi/2 at roundoff
     errs = {}
     for (th, n), (m, g, hols) in transports.items():
-        errs[(th, n)] = max(np.abs(h - m.wz_matrix(g.s)).max()
+        errs[(th, n)] = max(np.abs(h - wz_matrix(m, g.s)).max()
                             for h in hols)
     worst = max(errs[(th, 4001)] for th in THETAS)
     ratios = [errs[(th, 4001)] / errs[(th, 8001)] for th in THETAS[:2]]
@@ -82,7 +83,7 @@ def test_2_degenerate_adiabatic_approximation(transports):
         phases = DynamicalPhase.from_path(m.spectral_path(g))
         fam = daa_state(cs, hols, phases, v)
         err = np.abs(fam.coefficients[:, 0, :]
-                     - m.daa_coefficients(g.s, v)).max()
+                     - daa_coefficients(m, g.s, v)).max()
         worst = max(worst, err)
     check("2/9 adiabatic approximation", worst <= 1e-6,
           f"max coefficient error {worst:.3e} <= 1e-06 at N=4001, w/b=0.01")
@@ -93,7 +94,7 @@ def test_3_first_order_correction(ws_numeric):
     m = ws_numeric.model
     g = ws_numeric.grid
     v = vel(0.01)
-    closed = m.first_order_coefficients(g.s, v)
+    closed = first_order_coefficients(m, g.s, v)
     via_recursion = ws_numeric.term(1, v).coefficients[:, 0, :]
     direct = first_order_state(ws_numeric.couplings, ws_numeric.holonomies,
                                ws_numeric.phases, v).coefficients[:, 0, :]
@@ -171,7 +172,7 @@ def test_7_corrected_holonomy(ws_numeric):
     g = ws_numeric.grid
     v = vel(0.01)
     corr = ws_numeric.corrected(v)
-    target = m.corrected_wz(g.s, v)
+    target = corrected_wz(m, g.s, v)
     rel = np.abs(corr - target).max() / np.abs(target).max()
     ws = [vel(w) for w in (0.005, 0.01, 0.02, 0.05, 0.1)]
     defects = [unitary_deviation(ws_numeric.corrected(w)) for w in ws]

@@ -10,6 +10,7 @@ import pytest
 from dapt import Grid, hamiltonian_samples, read_csv, write_hamiltonian
 from dapt.cli import build_parser, main
 from dapt.models import GAMMA, GammaModel
+from oracles import wz_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -312,7 +313,7 @@ def test_numeric_transport_flag(in_tmp, gamma):
     assert run("holonomy", "--grid-n", "201", "--order", "0",
                "--numeric-transport") == 0
     data = read_csv(in_tmp / "dapt_holonomy.csv")
-    closed = gamma.wz_matrix(np.real(data["s"]))[:, 0, 0]
+    closed = wz_matrix(gamma, np.real(data["s"]))[:, 0, 0]
     diff = np.abs(data["u0_00"] - closed).max()
     assert 1e-8 < diff < 1e-3
     assert run("holonomy", "--grid-n", "201", "--order", "0") == 0

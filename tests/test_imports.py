@@ -19,8 +19,6 @@ TEST_MODULES = sorted(TESTS.glob("*.py"))
 UNREAD_EXPORTS = {
     # the closed form of the transport; deleting it waits on ROADMAP item 9
     "wz_transport",
-    # acceptance test 6 checks the Clifford algebra of GAMMA against it
-    "PI",
 }
 
 
@@ -28,10 +26,6 @@ UNREAD_EXPORTS = {
 UNREAD_FUNCTIONS = {
     # the closed form of the transport; deleting it waits on ROADMAP item 9
     "wz_transport",
-    # acceptance test 7 checks the corrected holonomy against it
-    "corrected_wz",
-    # acceptance test 3 checks the first-order correction against it
-    "first_order_coefficients",
 }
 
 

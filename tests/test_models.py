@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dapt import (GAMMA, PI, GammaModel, Grid, SpinHalfModel, propagate,
+from dapt import (GAMMA, GammaModel, Grid, SpinHalfModel, propagate,
                   residual)
-from oracles import gamma_exact_coefficients, spin_exact_coefficients
+from oracles import (PI, closed_couplings, closed_holonomies, corrected_wz,
+                     couplings_via_frame_derivatives, daa_coefficients,
+                     first_order_coefficients, gamma_exact_coefficients,
+                     holonomy_phase, spin_exact_coefficients, wz_matrix)
 
 ORACLES = {GammaModel: gamma_exact_coefficients,
            SpinHalfModel: spin_exact_coefficients}
@@ -46,6 +49,13 @@ def test_constructor_validation(cls):
 
 
 @pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
+@pytest.mark.parametrize("gap", [np.nan, np.inf])
+def test_non_finite_gap_rejected(cls, gap):
+    with pytest.raises(ValueError):
+        cls(gap=gap)
+
+
+@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
 def test_frames_orthonormal_and_eigen(cls):
     m = cls(gap=1.3, cone_angle=1.1)
     s = np.linspace(0.0, 1.0, 17)
@@ -67,7 +77,7 @@ def test_gamma_frames_at_zero_cone_angle():
 
 def test_wz_matrix_basics(gamma):
     s = np.linspace(0.0, 1.0, 9)
-    u = gamma.wz_matrix(s)
+    u = wz_matrix(gamma, s)
     assert np.abs(u[0] - np.eye(2)).max() < 1e-15
     dev = np.swapaxes(u, -1, -2).conj() @ u - np.eye(2)
     assert np.abs(dev).max() < 1e-14
@@ -76,7 +86,7 @@ def test_wz_matrix_basics(gamma):
 def test_wz_matrix_diagonal_at_equator():
     m = GammaModel(cone_angle=np.pi / 2)
     s = np.linspace(0.0, 1.0, 11)
-    u = m.wz_matrix(s)
+    u = wz_matrix(m, s)
     want = np.exp(1j * np.pi * s)
     assert np.abs(u[:, 0, 0] - want).max() < 1e-14
     assert np.abs(u[:, 1, 0]).max() < 1e-15
@@ -133,8 +143,8 @@ def test_expansion_hierarchy_of_closed_forms(gamma):
     gaps = []
     for w in (0.02, 0.01):
         v = vel(w)
-        trunc = gamma.daa_coefficients(s, v) \
-            + v * gamma.first_order_coefficients(s, v)
+        trunc = daa_coefficients(gamma, s, v) \
+            + v * first_order_coefficients(gamma, s, v)
         diff = gamma.exact_coefficients(s, v) - trunc
         gaps.append(np.linalg.norm(diff, axis=-1).max())
     assert gaps[1] < 2e-4
@@ -142,7 +152,7 @@ def test_expansion_hierarchy_of_closed_forms(gamma):
 
 
 def test_first_order_closed_form_starts_at_zero(gamma):
-    c = gamma.first_order_coefficients(np.array([0.0]), vel(0.01))
+    c = first_order_coefficients(gamma, np.array([0.0]), vel(0.01))
     assert np.abs(c).max() < 1e-12
 
 
@@ -150,8 +160,8 @@ def test_corrected_wz_is_scalar_dressing(gamma):
     s = np.linspace(0.0, 1.0, 7)
     v = vel(0.01)
     factor = 1.0 + 1j * np.pi ** 2 * v * s * np.sin(gamma.cone_angle) ** 2
-    want = factor[:, None, None] * gamma.wz_matrix(s)
-    assert np.abs(gamma.corrected_wz(s, v) - want).max() < 1e-14
+    want = factor[:, None, None] * wz_matrix(gamma, s)
+    assert np.abs(corrected_wz(gamma, s, v) - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
@@ -191,6 +201,36 @@ def test_rotation_constants(cls, gap, cone_angle):
 
 
 @pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
+@pytest.mark.parametrize("cone_angle", [0.0, 0.3, np.pi / 3, 2.5, np.pi])
+@pytest.mark.parametrize("gap", [0.5, 2.0])
+def test_derived_couplings_and_holonomies(cls, cone_angle, gap):
+    # the forms derived from K and LAMBDA against the hand-derived ones,
+    # and the couplings against frame differentiation, which reads no K
+    m = cls(gap=gap, cone_angle=cone_angle)
+    g = Grid.uniform(801)
+    cs = m.couplings(g)
+    closed = closed_couplings(m, g.s)
+    assert max(np.abs(cs.m(*pair) - closed[pair]).max()
+               for pair in closed) < 1e-14
+    hols = m.holonomies(g)
+    for got, want in zip(hols, closed_holonomies(m, g.s)):
+        assert np.abs(got - want).max() < 1e-14
+        eye = np.eye(got.shape[-1])
+        assert np.abs(np.swapaxes(got, 1, 2).conj() @ got - eye).max() < 1e-13
+    errs = []
+    for n in (801, 1601):
+        g = Grid.uniform(n)
+        cs = m.couplings(g)
+        fd = couplings_via_frame_derivatives(m.spectral_path(g))
+        errs.append(max(np.abs(cs.m(*pair) - fd.m(*pair)).max()
+                        for pair in cs.matrices))
+    # second order in the stencil; at the poles the Gamma frames stand
+    # still and both sides are zero to roundoff
+    assert errs[1] < 1e-4
+    assert errs[1] < 1e-12 or 3.2 < errs[0] / errs[1] < 4.8
+
+
+@pytest.mark.parametrize("cls", [GammaModel, SpinHalfModel])
 def test_resonance_is_solved(cls):
     # at theta = 0 and w = gap the hand-derived forms are singular; the
     # rotating-frame reference is not
@@ -223,10 +263,10 @@ def test_reference_is_unitary(cls, gap, cone_angle, ratio):
 
 def test_spin_holonomy_is_berry_phase(spin):
     s = np.linspace(0.0, 1.0, 5)
-    u = spin.holonomy_phase(s, level=0)
+    u = holonomy_phase(spin, s, level=0)
     w2 = np.sin(spin.cone_angle / 2.0) ** 2
     assert np.abs(u[:, 0, 0] - np.exp(2j * np.pi * s * w2)).max() < 1e-15
-    total = spin.holonomy_phase(np.array([1.0]), 0)[0, 0, 0]
+    total = holonomy_phase(spin, np.array([1.0]), 0)[0, 0, 0]
     berry = np.exp(1j * np.pi * (1.0 - np.cos(spin.cone_angle)))
     assert abs(total - berry) < 1e-15
 
