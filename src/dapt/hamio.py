@@ -8,12 +8,23 @@ The Hamiltonian text format is line-oriented and language-neutral:
     ...
     <s_last> ...
 
+Each file content is parsed once: read_hamiltonian keeps the parsed
+samples of a regular file in a cache directory, ``$XDG_CACHE_HOME/dapt``
+(``~/.cache/dapt`` when that is unset), under the SHA-256 of the file's
+bytes, and reads a file whose content it has parsed before from there.
+
 Complex values in CSV files occupy two adjacent columns named ``<col>_re``
 and ``<col>_im``. All floats print with 17 significant digits so re-reading
 an emitted file reproduces the in-memory doubles bit-for-bit.
 """
+import contextlib
 import csv
+import hashlib
 import json
+import os
+import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +34,11 @@ from .spectral import HermitianSamples
 
 FLOAT_FMT = "%.17g"
 CHUNK_BYTES = 1 << 18
+# the parsed-sample cache: the key's prefix names the format of what an
+# entry holds, so changing the parser or the entry layout means a new tag
+CACHE_TAG = b"dapt-hamiltonian-1\0"
+CACHE_BUDGET = 256 << 20       # bytes of entries kept, most recently used
+HASH_CHUNK = 1 << 20
 
 
 def _fmt(x: float) -> str:
@@ -52,7 +68,30 @@ def read_hamiltonian(path):
     Raises OSError for unreadable paths, ConfigError for malformed content
     (bytes that are not text included), NonHermitianInput when any node
     fails the Hermiticity check of linalg.hermitian_part.
+
+    A regular file whose content was parsed before is read from the cache
+    (see the module docstring) and checked again, as a parse is, so a hit
+    returns the same values and raises the same errors as a parse. Only a
+    file that passes the checks, and whose content did not change while it
+    was read, is stored. The cache keeps the most recently used entries
+    within CACHE_BUDGET bytes. A cache that cannot be read or written
+    means a parse, never an error; a path that is not a regular file, such
+    as a pipe, is always parsed.
     """
+    entry = _cache_entry(path)
+    cached = _cache_load(entry) if entry is not None else None
+    if cached is not None:
+        return _checked(path, *cached)
+    s, samples = _parse(path)
+    out = _checked(path, s, samples)
+    # a file rewritten while it was read is not stored under the old key
+    if entry is not None and _cache_entry(path) == entry:
+        _cache_store(entry, s, samples)
+    return out
+
+
+def _parse(path):
+    """The node values (s, samples) of a file, unchecked beyond its text."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh]
@@ -72,8 +111,15 @@ def read_hamiltonian(path):
         raise ConfigError(f"{path}: dimension must be at least 1, got {dim}")
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
-    s, samples = _read_pairs(lines[1:], dim) \
-        or _scan_tokens(path, lines[1:], dim)
+    # both parsers allocate (n, dim, dim) first, so node 0 has to show
+    # that the header's dimension matches the lines
+    if n:
+        _check_token_count(path, 0, lines[1].split(), dim)
+    return _read_pairs(lines[1:], dim) or _scan_tokens(path, lines[1:], dim)
+
+
+def _checked(path, s, samples):
+    """(grid, samples) of parsed node values; the checks of every read."""
     try:
         grid = Grid(s=s)
     except Exception as exc:
@@ -82,6 +128,80 @@ def read_hamiltonian(path):
         return grid, HermitianSamples(samples, grid)
     except NonHermitianInput as exc:
         raise NonHermitianInput(f"{path}: {exc}") from None
+
+
+def _cache_entry(path):
+    """The cache entry named by the content of the regular file ``path``;
+    None for any other path or a file that cannot be read. The file is
+    hashed in HASH_CHUNK pieces, so it is never held whole."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digest = hashlib.sha256(CACHE_TAG)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(HASH_CHUNK):
+                digest.update(chunk)
+    except OSError:
+        return None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):         # unset, empty or relative: ignored
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "dapt" / f"{digest.hexdigest()}.npy"
+
+
+def _cache_load(entry):
+    """(s, samples) of a cache entry, or None when there is none or it is
+    not two records of the shapes and types a parse returns."""
+    try:
+        with open(entry, "rb") as fh:
+            s = np.load(fh, allow_pickle=False)
+            samples = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if s.dtype != np.float64 or s.ndim != 1 \
+            or samples.dtype != np.complex128 or samples.ndim != 3 \
+            or samples.shape[0] != s.size \
+            or samples.shape[1] != samples.shape[2]:
+        return None
+    with contextlib.suppress(OSError):      # a read-only cache still hits
+        os.utime(entry)
+    return s, samples
+
+
+def _cache_store(entry, s, samples):
+    """Write an entry under a temporary name and rename it into place, then
+    evict the least recently used entries beyond CACHE_BUDGET bytes."""
+    if s.nbytes + samples.nbytes > CACHE_BUDGET:
+        return
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, s)
+            np.save(fh, samples)
+        os.replace(tmp, entry)
+        _evict(entry.parent)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _evict(directory):
+    """Keep the newest files of ``directory`` (by mtime, which a hit
+    touches) that fit in CACHE_BUDGET bytes; delete the rest."""
+    files = []
+    for e in os.scandir(directory):
+        if e.is_file(follow_symlinks=False):
+            st = e.stat(follow_symlinks=False)
+            files.append((st.st_mtime_ns, st.st_size, e.path))
+    total = 0
+    for _, size, name in sorted(files, reverse=True):
+        total += size
+        if total > CACHE_BUDGET:
+            os.unlink(name)
 
 
 def _read_pairs(lines, dim):
@@ -151,9 +271,7 @@ def _scan_tokens(path, lines, dim):
     samples = np.empty((len(lines), dim, dim), dtype=complex)
     for k, line in enumerate(lines):
         toks = line.split()
-        if len(toks) != 1 + dim * dim:
-            raise ConfigError(f"{path}: node {k}: expected {1 + dim * dim} "
-                              f"tokens, found {len(toks)}")
+        _check_token_count(path, k, toks, dim)
         try:
             s[k] = float(toks[0])
             flat = [complex(*map(float, t.split(","))) for t in toks[1:]]
@@ -161,6 +279,12 @@ def _scan_tokens(path, lines, dim):
             raise ConfigError(f"{path}: node {k}: {exc}") from None
         samples[k] = np.array(flat).reshape(dim, dim)
     return s, samples
+
+
+def _check_token_count(path, k, toks, dim):
+    if len(toks) != 1 + dim * dim:
+        raise ConfigError(f"{path}: node {k}: expected {1 + dim * dim} "
+                          f"tokens, found {len(toks)}")
 
 
 def write_csv(path, columns) -> None:

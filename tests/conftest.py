@@ -4,6 +4,14 @@ import pytest
 from dapt import GammaModel, Grid, SpinHalfModel, Workspace
 
 
+@pytest.fixture(autouse=True)
+def private_cache(tmp_path, monkeypatch):
+    """Each test gets its own, empty parsed-Hamiltonian cache in tmp_path,
+    so no test writes the user's cache or starts from another's entries."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "dapt"
+
+
 @pytest.fixture(scope="session")
 def gamma():
     return GammaModel(gap=1.0, cone_angle=np.pi / 3)

@@ -175,10 +175,12 @@ def test_single_level_file_runs_every_order(in_tmp, command):
     (("sweep", "--grid-n", "101", "--v-list", "0.01,0.01,0.05,0.1"), 2),
     (("sweep", "--grid-n", "101", "--v-list", "0.02,0.03,0.05,0.1"), 2),
     (("fit-order", "--input", "three_rows.csv"), 2),
+    (("validate", "--hamiltonian-file", "big_dim.txt"), 2),
 ])
 def test_error_exit_codes(argv, code):
     Path("three_rows.csv").write_text(
         "velocity,residual_order0\n0.001,1e-3\n0.01,1e-2\n0.1,1e-1\n")
+    Path("big_dim.txt").write_text("100000 3\n0 1,0\n0.5 1,0\n1 1,0\n")
     assert run(*argv) == code
 
 

@@ -1,6 +1,8 @@
-"""File I/O: Hamiltonian text format, CSV round trips, JSON summaries."""
+"""File I/O: Hamiltonian text format and its parse cache, CSV round trips,
+JSON summaries."""
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -63,6 +65,8 @@ def test_missing_file_raises_oserror(tmp_path):
     "1 3\n0.2 1,0\n0.5 1,0\n1 1,0\n",
     "0 3\n0\n0.5\n1\n",
     "-1 3\n0\n0.5\n1\n",
+    # a header dimension far beyond the lines is reported, not allocated
+    "100000 3\n0 1,0\n0.5 1,0\n1 1,0\n",
     b"\xff\xfe\x00bad",
 ])
 def test_malformed_files_raise_config_error(tmp_path, text):
@@ -208,6 +212,205 @@ def test_pairs_layout_matches_comparison_rule(edits):
         assert hamio._pairs_layout(text, len(ODD_NODES), pairs) \
             == _pairs_layout_reference(text, len(ODD_NODES), pairs)
     assert _pairs_layout_reference(LAYOUT_TEXT, len(ODD_NODES), 4)
+
+
+def _entries(cache):
+    return sorted(cache.glob("*.npy")) if cache.exists() else []
+
+
+def _count_parses(monkeypatch):
+    import dapt.hamio as hamio
+    parses = []
+    parse = hamio._parse
+    monkeypatch.setattr(hamio, "_parse",
+                        lambda path: parses.append(path) or parse(path))
+    return parses
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_cache_hit_returns_the_parsed_bytes(tmp_path, private_cache,
+                                            monkeypatch, bare):
+    nodes = list(ODD_NODES)
+    if bare:                                      # the token-by-token scan
+        nodes[2] = nodes[2].replace("7.0e0,0", "7")
+    path = tmp_path / "odd.txt"
+    _write_nodes(path, nodes)
+    parses = _count_parses(monkeypatch)
+    grid, samples = read_hamiltonian(path)
+    assert len(_entries(private_cache)) == 1
+    hit_grid, hit_samples = read_hamiltonian(path)
+    assert len(parses) == 1
+    assert hit_grid.s.tobytes() == grid.s.tobytes()
+    assert hit_samples.values.tobytes() == samples.values.tobytes()
+    assert not hit_samples.values.flags.writeable
+
+
+def test_edited_file_misses(tmp_path, private_cache, monkeypatch):
+    path = tmp_path / "odd.txt"
+    _write_nodes(path, ODD_NODES)
+    read_hamiltonian(path)
+    before = path.stat()
+    # same size, and the old mtime put back
+    path.write_text(path.read_text().replace("7.0e0,0", "8.0e0,0"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    parses = _count_parses(monkeypatch)
+    _, samples = read_hamiltonian(path)
+    assert len(parses) == 1
+    assert samples.values[2, 1, 1] == 8.0
+    assert len(_entries(private_cache)) == 2
+
+
+def test_file_rewritten_during_the_read_is_not_stored(tmp_path, private_cache,
+                                                      monkeypatch):
+    import dapt.hamio as hamio
+    path = tmp_path / "odd.txt"
+    _write_nodes(path, ODD_NODES)
+    parse = hamio._parse
+
+    def parse_then_rewrite(p):
+        out = parse(p)
+        p.write_text(p.read_text().replace("7.0e0,0", "8.0e0,0"))
+        return out
+    monkeypatch.setattr(hamio, "_parse", parse_then_rewrite)
+    _, samples = read_hamiltonian(path)
+    assert samples.values[2, 1, 1] == 7.0
+    assert _entries(private_cache) == []
+
+
+def _save(*arrays):
+    def write(entry):
+        with open(entry, "wb") as fh:
+            for a in arrays:
+                np.save(fh, a)
+    return write
+
+
+DAMAGE = {
+    "truncated": lambda e: e.write_bytes(e.read_bytes()[:-40]),
+    "one-record": lambda e: e.write_bytes(e.read_bytes()[:100]),
+    "empty": lambda e: e.write_bytes(b""),
+    "bad-header": lambda e: e.write_bytes(b"\x93NUMPY\x01\x00garbage" * 20),
+    "garbage": lambda e: e.write_bytes(b"not an entry at all"),
+    "node-count": _save(np.zeros(31), np.zeros((30, 4, 4), dtype=complex)),
+    "s-dtype": _save(np.zeros(31, dtype=complex),
+                     np.zeros((31, 4, 4), dtype=complex)),
+    "samples-dtype": _save(np.zeros(31), np.zeros((31, 4, 4))),
+    "not-square": _save(np.zeros(31), np.zeros((31, 4, 3), dtype=complex)),
+    "s-2d": _save(np.zeros((31, 1)), np.zeros((31, 4, 4), dtype=complex)),
+    "pickled": _save(np.array([1.0, None, 0.5], dtype=object),
+                     np.zeros((3, 4, 4), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_damaged_entry_is_parsed_and_replaced(sample_file, private_cache,
+                                              monkeypatch, damage):
+    path, g, samples = sample_file
+    read_hamiltonian(path)
+    (entry,) = _entries(private_cache)
+    good = entry.read_bytes()
+    damage(entry)
+    parses = _count_parses(monkeypatch)
+    grid, back = read_hamiltonian(path)
+    assert len(parses) == 1
+    assert np.array_equal(grid.s, g.s)
+    assert np.array_equal(back.values, samples)
+    assert entry.read_bytes() == good
+
+
+NON_HERMITIAN = ("2 3\n0 0,0 1,0 0,0 0,0\n0.5 0,0 1,0 0,0 0,0\n"
+                 "1 0,0 1,0 0,0 0,0\n")
+REJECTED = [
+    ("1 3\n0 1,x\n0.5 1,0\n1 1,0\n", ConfigError, "node 0:"),
+    ("1 3\n0.2 1,0\n0.5 1,0\n1 1,0\n", ConfigError, "bad grid"),
+    (NON_HERMITIAN, NonHermitianInput, "exceeds"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", REJECTED)
+def test_rejected_file_is_never_stored(tmp_path, private_cache, text, error,
+                                       message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            read_hamiltonian(path)
+    assert _entries(private_cache) == []
+
+
+def test_unwritable_cache_still_parses(sample_file, tmp_path, monkeypatch):
+    # the cache directory would sit under a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path, g, samples = sample_file
+    for _ in range(2):
+        grid, back = read_hamiltonian(path)
+        assert np.array_equal(grid.s, g.s)
+        assert np.array_equal(back.values, samples)
+    for text, error, message in REJECTED:
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(error, match=message):
+            read_hamiltonian(bad)
+    with pytest.raises(OSError):
+        read_hamiltonian(tmp_path / "nope.txt")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_parsed_and_not_stored(tmp_path, private_cache):
+    path = tmp_path / "odd.txt"
+    _write_nodes(path, ODD_NODES)
+    want = read_hamiltonian(path)[1].values
+    for entry in _entries(private_cache):
+        entry.unlink()
+    read_end, write_end = os.pipe()
+    try:
+        # the file fits the pipe's buffer, so the write does not block;
+        # a pipe read twice would read empty the second time
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        write_end = None
+        _, samples = read_hamiltonian(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    assert samples.values.tobytes() == want.tobytes()
+    assert _entries(private_cache) == []
+
+
+def test_budget_keeps_the_most_recently_used(tmp_path, private_cache,
+                                            monkeypatch):
+    import dapt.hamio as hamio
+    paths = []
+    for k in range(3):                   # three contents of one size
+        nodes = list(ODD_NODES)
+        nodes[4] = nodes[4].replace("2,0 0,1", f"{k + 2},0 0,1")
+        paths.append(tmp_path / f"{k}.txt")
+        _write_nodes(paths[-1], nodes)
+    a, b, c = paths
+    read_hamiltonian(a)
+    read_hamiltonian(b)
+    entry_a, entry_b, entry_c = (hamio._cache_entry(p) for p in paths)
+    size = entry_a.stat().st_size
+    assert entry_b.stat().st_size == size
+    monkeypatch.setattr(hamio, "CACHE_BUDGET", 2 * size)
+    os.utime(entry_a, ns=(10**9, 10**9))       # a is the older entry
+    os.utime(entry_b, ns=(2 * 10**9, 2 * 10**9))
+    parses = _count_parses(monkeypatch)
+    read_hamiltonian(a)                  # a hit makes a the newer one
+    read_hamiltonian(c)
+    assert parses == [c]
+    assert _entries(private_cache) == sorted([entry_a, entry_c])
+    # an entry larger than the whole budget is not stored
+    monkeypatch.setattr(hamio, "CACHE_BUDGET", size // 2)
+    for entry in _entries(private_cache):
+        entry.unlink()
+    read_hamiltonian(a)
+    assert _entries(private_cache) == []
 
 
 @pytest.mark.parametrize("content", [
