@@ -36,7 +36,7 @@ FLOAT_FMT = "%.17g"
 CHUNK_BYTES = 1 << 18
 # the parsed-sample cache: the key's prefix names the format of what an
 # entry holds, so changing the parser or the entry layout means a new tag
-CACHE_TAG = b"dapt-hamiltonian-1\0"
+CACHE_TAG = b"dapt-hamiltonian-2\0"
 CACHE_BUDGET = 256 << 20       # bytes of entries kept, most recently used
 HASH_CHUNK = 1 << 20
 
@@ -73,15 +73,22 @@ def read_hamiltonian(path):
     (see the module docstring) and checked again, as a parse is, so a hit
     returns the same values and raises the same errors as a parse. Only a
     file that passes the checks, and whose content did not change while it
-    was read, is stored. The cache keeps the most recently used entries
-    within CACHE_BUDGET bytes. A cache that cannot be read or written
-    means a parse, never an error; a path that is not a regular file, such
-    as a pipe, is always parsed.
+    was read, is stored. An entry carries the SHA-256 of its arrays; one
+    that fails it, or fails the checks, is dropped and the file parsed.
+    The cache keeps the most recently used entries within CACHE_BUDGET
+    bytes. A cache that cannot be read or written means a parse, never an
+    error; a path that is not a regular file, such as a pipe, is always
+    parsed.
     """
     entry = _cache_entry(path)
     cached = _cache_load(entry) if entry is not None else None
     if cached is not None:
-        return _checked(path, *cached)
+        try:
+            return _checked(path, *cached)
+        except (ConfigError, NonHermitianInput):
+            # an entry the checks reject is dropped; the parse decides
+            with contextlib.suppress(OSError):
+                os.unlink(entry)
     s, samples = _parse(path)
     out = _checked(path, s, samples)
     # a file rewritten while it was read is not stored under the old key
@@ -149,19 +156,29 @@ def _cache_entry(path):
     return Path(base) / "dapt" / f"{digest.hexdigest()}.npy"
 
 
+def _payload_digest(s, samples):
+    """SHA-256 of the bytes of an entry's two arrays, as a uint8 record."""
+    digest = hashlib.sha256(s)
+    digest.update(samples)
+    return np.frombuffer(digest.digest(), dtype=np.uint8)
+
+
 def _cache_load(entry):
     """(s, samples) of a cache entry, or None when there is none or it is
-    not two records of the shapes and types a parse returns."""
+    not the records a store writes: s and samples of the shapes and types
+    a parse returns, then the _payload_digest of their bytes."""
     try:
         with open(entry, "rb") as fh:
             s = np.load(fh, allow_pickle=False)
             samples = np.load(fh, allow_pickle=False)
+            digest = np.load(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     if s.dtype != np.float64 or s.ndim != 1 \
             or samples.dtype != np.complex128 or samples.ndim != 3 \
             or samples.shape[0] != s.size \
-            or samples.shape[1] != samples.shape[2]:
+            or samples.shape[1] != samples.shape[2] \
+            or not np.array_equal(digest, _payload_digest(s, samples)):
         return None
     with contextlib.suppress(OSError):      # a read-only cache still hits
         os.utime(entry)
@@ -182,6 +199,7 @@ def _cache_store(entry, s, samples):
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, s)
             np.save(fh, samples)
+            np.save(fh, _payload_digest(s, samples))
         os.replace(tmp, entry)
         _evict(entry.parent)
     except OSError:

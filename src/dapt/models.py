@@ -196,21 +196,16 @@ class GammaModel(ConeModel):
     def frames(self, s) -> np.ndarray:
         """Snapshot frame, columns [0^0, 0^1, 1^0, 1^1], shape (..., 4, 4)."""
         s = np.asarray(s, dtype=float)
-        r2 = np.sqrt(2.0)
         alpha = np.exp(2j * np.pi * s) * np.sin(self.cone_angle)
-        # each constant entry is one complex value divided by r2, in the
-        # complex division that divides the phase entries
-        one = np.ones(1, dtype=complex)
-        beta = np.cos(self.cone_angle) * one
-        out = np.empty(s.shape + (4, 4), dtype=complex)
-        out[..., 0, 0::2] = (alpha.conj() / r2)[..., None]
-        out[..., 0, 1::2] = beta / r2
-        out[..., 1, 0::2] = -beta / r2
-        out[..., 1, 1::2] = (alpha / r2)[..., None]
-        out[..., 2:, :] = 0.0
-        out[..., 2, 1] = out[..., 3, 0] = -one / r2
-        out[..., 2, 3] = out[..., 3, 2] = one / r2
-        return out
+        beta = np.cos(self.cone_angle) * np.ones_like(alpha)
+        zero = np.zeros_like(alpha)
+        one = np.ones_like(alpha)
+        cols = []
+        for n in (0, 1):
+            sgn = (-1.0) ** n
+            cols.append(np.stack([alpha.conj(), -beta, zero, -sgn * one], axis=-1))
+            cols.append(np.stack([beta, alpha, -sgn * one, zero], axis=-1))
+        return np.stack(cols, axis=-1) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

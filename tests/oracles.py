@@ -162,22 +162,6 @@ def spin_exact_coefficients(model, s, velocity: float) -> np.ndarray:
                      -1j * across * ep * sin], axis=-1)
 
 
-def gamma_frames_stacked(model, s) -> np.ndarray:
-    """GammaModel.frames built column by column with np.stack, kept as the
-    byte reference for the entry-by-entry fill."""
-    s = np.asarray(s, dtype=float)
-    alpha = np.exp(2j * np.pi * s) * np.sin(model.cone_angle)
-    beta = np.cos(model.cone_angle) * np.ones_like(alpha)
-    zero = np.zeros_like(alpha)
-    one = np.ones_like(alpha)
-    cols = []
-    for n in (0, 1):
-        sgn = (-1.0) ** n
-        cols.append(np.stack([alpha.conj(), -beta, zero, -sgn * one], axis=-1))
-        cols.append(np.stack([beta, alpha, -sgn * one, zero], axis=-1))
-    return np.stack(cols, axis=-1) / np.sqrt(2.0)
-
-
 def gamma_connection(model, s) -> np.ndarray:
     """Plain coupling in d/ds units; one matrix serves every level pair."""
     s = np.asarray(s, dtype=float)

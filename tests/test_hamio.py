@@ -1,6 +1,7 @@
 """File I/O: Hamiltonian text format and its parse cache, CSV round trips,
 JSON summaries."""
 import csv
+import hashlib
 import json
 import os
 
@@ -278,12 +279,25 @@ def test_file_rewritten_during_the_read_is_not_stored(tmp_path, private_cache,
     assert _entries(private_cache) == []
 
 
-def _save(*arrays):
+def _save(s, samples):
+    """Damage that writes a whole entry: the arrays and their checksum."""
     def write(entry):
         with open(entry, "wb") as fh:
-            for a in arrays:
-                np.save(fh, a)
+            np.save(fh, s)
+            np.save(fh, samples)
+            np.save(fh, np.frombuffer(hashlib.sha256(s.tobytes() +
+                                      samples.tobytes()).digest(), np.uint8))
     return write
+
+
+def _edit_samples(entry):
+    """Damage that changes one stored sample and keeps the checksum."""
+    with open(entry, "rb") as fh:
+        s, samples, digest = (np.load(fh) for _ in range(3))
+    samples[3, 0, 0] += 1e-9
+    with open(entry, "wb") as fh:
+        for a in (s, samples, digest):
+            np.save(fh, a)
 
 
 DAMAGE = {
@@ -300,6 +314,13 @@ DAMAGE = {
     "s-2d": _save(np.zeros((31, 1)), np.zeros((31, 4, 4), dtype=complex)),
     "pickled": _save(np.array([1.0, None, 0.5], dtype=object),
                      np.zeros((3, 4, 4), dtype=complex)),
+    "no-checksum": lambda e: e.write_bytes(e.read_bytes()[:-160]),
+    # the shapes and checksum of a good entry, values the checks reject
+    "bad-grid": _save(np.zeros(31), np.zeros((31, 4, 4), dtype=complex)),
+    "non-hermitian": _save(np.linspace(0.0, 1.0, 31),
+                           np.ones((31, 4, 4)) * (1 + 1j)),
+    # a valid grid and Hermitian samples, but not the bytes stored
+    "edited-samples": _edit_samples,
 }
 
 

@@ -10,8 +10,7 @@ from dapt import (GAMMA, GammaModel, Grid, SpinHalfModel, propagate,
 from oracles import (PI, closed_couplings, closed_holonomies, corrected_wz,
                      couplings_via_frame_derivatives, daa_coefficients,
                      first_order_coefficients, gamma_exact_coefficients,
-                     gamma_frames_stacked, holonomy_phase,
-                     spin_exact_coefficients, wz_matrix)
+                     holonomy_phase, spin_exact_coefficients, wz_matrix)
 
 ORACLES = {GammaModel: gamma_exact_coefficients,
            SpinHalfModel: spin_exact_coefficients}
@@ -74,17 +73,6 @@ def test_gamma_frames_at_zero_cone_angle():
     m = GammaModel(cone_angle=0.0)
     f = m.frames(0.0)
     assert np.abs(f[:, 0] - np.array([0, -1, 0, -1]) / np.sqrt(2)).max() < 1e-15
-
-
-@pytest.mark.parametrize("theta", [0.0, np.pi, np.pi / 3, 2.5])
-def test_gamma_frames_match_stacked_form(theta):
-    m = GammaModel(cone_angle=theta)
-    for s in (np.linspace(0.0, 1.0, 16001), 0.0, np.linspace(0.0, 1.0, 6)
-              .reshape(2, 3)):
-        want = gamma_frames_stacked(m, s)
-        got = m.frames(s)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 def test_wz_matrix_basics(gamma):
